@@ -413,6 +413,20 @@ let of_string s =
   end;
   if negative then neg !acc else !acc
 
+(* Significant bits of |x|: (limbs - 1) full limbs plus the top limb's width. *)
+let numbits x =
+  let n = Array.length x.mag in
+  if n = 0 then 0
+  else
+    let rec width v acc = if v = 0 then acc else width (v lsr 1) (acc + 1) in
+    ((n - 1) * base_bits) + width x.mag.(n - 1) 0
+
+let shift_right x k =
+  if k < 0 then invalid_arg "Bigint.shift_right: negative shift";
+  let limbs = k / base_bits and n = Array.length x.mag in
+  if limbs >= n then zero
+  else normalize x.sign (shift_right_bits (Array.sub x.mag limbs (n - limbs)) (k mod base_bits))
+
 let to_float x =
   let n = Array.length x.mag in
   let rec go i acc = if i < 0 then acc else go (i - 1) ((acc *. float_of_int base) +. float_of_int x.mag.(i)) in

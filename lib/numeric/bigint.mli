@@ -91,6 +91,13 @@ val add_int : t -> int -> t
     Raises [Invalid_argument] when [k < 0]. *)
 val pow : t -> int -> t
 
+(** [numbits x] is the number of significant bits of [|x|]; [0] for zero. *)
+val numbits : t -> int
+
+(** [shift_right x k] is [x / 2^k] truncated towards zero, for [k >= 0].
+    Raises [Invalid_argument] when [k < 0]. *)
+val shift_right : t -> int -> t
+
 (** {1 Pretty-printing} *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,10 +1,30 @@
-(** Exact rational numbers over {!Bigint}.
+(** Exact rational numbers, in two tiers.
 
     Values are kept in canonical form: the denominator is positive and
     coprime with the numerator, and zero is represented as [0/1].  This is
     the coefficient field used by the exact simplex solver, so LP
     feasibility answers (and therefore the binary search of Theorem V.2)
-    are certified rather than subject to floating-point tolerances. *)
+    are certified rather than subject to floating-point tolerances.
+
+    {b Tiers.}  A value whose numerator magnitude and denominator are both
+    below [2^30] is stored as an immediate pair of native ints; any other
+    value is a pair of {!Bigint}s.  With both operands small, every cross
+    product is below [2^60] and every sum of two cross products below
+    [2^61], inside OCaml's 63-bit [int], so the small path runs with no
+    per-operation overflow test: it reduces with a native gcd and then
+    stores the result small when it fits, or promotes it to the Bigint
+    tier when it does not.  Mixed and large operands take the Bigint path,
+    whose results are demoted back whenever they fit.
+
+    {b Canonical form.}  Every value that fits the small tier is stored
+    there, whichever constructor or operation produced it, so each
+    rational has exactly one representation: structural equality [( = )]
+    agrees with {!equal}, including inside larger values such as
+    [t option] fields.
+
+    Each result stored in the Bigint tier by normalisation increments
+    the ["numeric.q.promotions"] counter of {!Hs_obs.Metrics}; a result
+    that stays small never touches it. *)
 
 type t
 
@@ -84,6 +104,9 @@ val ceil_int : t -> int
 
 (** {1 Conversions} *)
 
+(** Float approximation, never [nan]: components past the float range
+    are scaled down first, so the result is infinite or zero only when
+    the value itself is out of range. *)
 val to_float : t -> float
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -86,6 +86,16 @@ let test_pow () =
 let test_to_float () =
   Alcotest.(check (float 1e-6)) "to_float" 1e20 (B.to_float (bs "100000000000000000000"))
 
+let test_numbits_shift () =
+  List.iter
+    (fun (x, bits) -> Alcotest.(check int) ("numbits " ^ B.to_string x) bits (B.numbits x))
+    [ (B.zero, 0); (B.one, 1); (bi (-5), 3); (bi (1 lsl 24), 25); (B.pow (bi 2) 100, 101) ];
+  check_b "2^100+7 >> 60" (B.pow (bi 2) 40) (B.shift_right (B.add (B.pow (bi 2) 100) (bi 7)) 60);
+  check_b "-7 >> 1 truncates" (bi (-3)) (B.shift_right (bi (-7)) 1);
+  check_b "shift past the top" B.zero (B.shift_right (bi 12345) 48);
+  Alcotest.check_raises "negative shift" (Invalid_argument "Bigint.shift_right: negative shift")
+    (fun () -> ignore (B.shift_right B.one (-1)))
+
 (* Properties *)
 
 let small_int = QCheck.int_range (-1_000_000_000) 1_000_000_000
@@ -197,6 +207,14 @@ let prop_gcd_divides =
       let g = B.gcd a b in
       B.sign g > 0 && B.is_zero (B.rem a g) && B.is_zero (B.rem b g))
 
+let prop_shift_right_is_div =
+  QCheck.Test.make ~name:"shift_right is division by 2^k" ~count:500
+    (QCheck.pair big_pair (QCheck.int_range 0 150)) (fun ((a, _), k) ->
+      let bits = B.numbits a in
+      B.equal (B.shift_right a k) (B.div a (B.pow (bi 2) k))
+      && B.is_zero (B.shift_right a bits)
+      && (bits = 0 || not (B.is_zero (B.shift_right a (bits - 1)))))
+
 let suite =
   let u name f = Alcotest.test_case name `Quick f in
   let q t = QCheck_alcotest.to_alcotest t in
@@ -212,6 +230,7 @@ let suite =
       u "gcd" test_gcd;
       u "pow" test_pow;
       u "to_float" test_to_float;
+      u "numbits/shift_right" test_numbits_shift;
       q prop_add_matches_int;
       q prop_mul_matches_int;
       q prop_divmod_matches_int;
@@ -223,4 +242,5 @@ let suite =
       q prop_string_roundtrip;
       q prop_compare_total_order;
       q prop_gcd_divides;
+      q prop_shift_right_is_div;
     ] )

@@ -5,6 +5,7 @@ let () =
     [
       Test_bigint.suite;
       Test_q.suite;
+      Test_q_diff.suite;
       Test_simplex.suite;
       Test_laminar.suite;
       Test_model.suite;

@@ -57,6 +57,38 @@ let test_infix () =
   Alcotest.(check bool) "infix expr" true (qq 1 2 + qq 1 3 = qq 5 6);
   Alcotest.(check bool) "infix order" true (qq 1 2 * qq 1 2 < qq 1 2)
 
+(* Past the float range on both sides the naive quotient is inf/inf. *)
+let test_to_float_huge () =
+  let p1100 = B.pow (B.of_int 2) 1100 in
+  let close msg expected x =
+    Alcotest.(check (float 1e-12)) msg 1.0 (Q.to_float x /. expected)
+  in
+  close "(2^1100+1)/2^1100" 1.0 (Q.make (B.add p1100 B.one) p1100);
+  close "3*2^1100/(2*2^1100+1)" 1.5 (Q.make (B.mul_int p1100 3) (B.add (B.mul_int p1100 2) B.one));
+  close "-(2^1100+1)/2^1100" (-1.0) (Q.make (B.neg (B.add p1100 B.one)) p1100);
+  close "(2^1100+1)/2^150 = 2^950" (Float.ldexp 1.0 950)
+    (Q.make (B.add p1100 B.one) (B.pow (B.of_int 2) 150));
+  Alcotest.(check (float 0.)) "2^1100/3 overflows" Float.infinity (Q.to_float (Q.make p1100 (B.of_int 3)));
+  Alcotest.(check (float 0.)) "3/2^1100 underflows" 0.0 (Q.to_float (Q.make (B.of_int 3) p1100))
+
+(* Only results that outgrow the immediate tier touch the counter. *)
+let test_promotions () =
+  let promotions = Hs_obs.Metrics.counter "numeric.q.promotions" in
+  let count f =
+    let before = Hs_obs.Metrics.value promotions in
+    ignore (f ());
+    Hs_obs.Metrics.value promotions - before
+  in
+  let edge = qi ((1 lsl 30) - 1) in
+  Alcotest.(check int) "small ops" 0
+    (count (fun () -> Q.add (qq 1 3) (Q.div (qq (-5) 9) (Q.mul (qq 2 11) (qq 3 7)))));
+  Alcotest.(check int) "2^30 - 1 stays small" 0 (count (fun () -> Q.add (Q.sub edge Q.one) Q.one));
+  Alcotest.(check int) "of_int 2^30" 1 (count (fun () -> qi (1 lsl 30)));
+  Alcotest.(check int) "product past 2^30" 1 (count (fun () -> Q.mul edge edge));
+  let big = Q.mul edge edge in
+  let big' = Q.sub big Q.one in
+  Alcotest.(check int) "big minus big demotes" 0 (count (fun () -> Q.sub big big'))
+
 let rational =
   let gen =
     QCheck.Gen.(
@@ -109,6 +141,8 @@ let suite =
       u "of_string" test_of_string;
       u "ordering" test_ordering;
       u "infix" test_infix;
+      u "to_float on huge operands" test_to_float_huge;
+      u "promotion counter" test_promotions;
       q prop_field_axioms;
       q prop_canonical;
       q prop_order_compatible;
