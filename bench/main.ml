@@ -611,23 +611,21 @@ let run_online ~quick ~jobs () =
 
 (* ---------------- LP engine bench --------------------------------------- *)
 
-(* Solver-scaling study of the two simplex engines (DESIGN.md §16): a
-   size ladder of single LP-feasibility solves timed under the dense
-   tableau, the sparse revised engine, and the sparse engine with the
-   float pre-solve; cold-vs-warm pivot counts for the Theorem V.2
-   binary search (one warm store shared by its probes); and the
-   growth-family online replay solved cold and warm-started.  The dense
-   tableau and exact arithmetic are capped to the sizes they can carry —
+(* Solver-scaling study of the simplex engine (DESIGN.md §16): a size
+   ladder of single LP-feasibility solves timed in the float field, in
+   exact arithmetic, and exact with the float pre-solve; cold-vs-warm
+   pivot counts for the Theorem V.2 binary search (one warm store shared
+   by its probes); and the growth-family online replay solved cold and
+   warm-started.  Exact arithmetic is capped to the sizes it can carry —
    the top of the ladder (10k jobs / 1k machines in the full run) is
-   float-field sparse only, with a pivot allowance so the run always
+   float-field only, with a pivot allowance so the run always
    terminates.  Writes BENCH_lp.json; exits non-zero if the warm growth
    replay fails to use strictly fewer pivots than the cold one or
    diverges from it. *)
 let run_lp ~quick () =
-  print_endline "\n== LP engines: dense vs sparse revised, cold vs warm (Hs_lp) ==";
+  print_endline "\n== LP engine: float vs exact vs presolve, cold vs warm (Hs_lp) ==";
   let module I = Hs_core.Ilp.Make (Hs_lp.Field.Exact) in
   let module IF = Hs_core.Ilp.Make (Hs_lp.Field.Float) in
-  let module E = Hs_lp.Engine in
   let counter snap name =
     Option.value ~default:0 (List.assoc_opt name snap.Hs_obs.Metrics.counters)
   in
@@ -645,7 +643,7 @@ let run_lp ~quick () =
     Hs_workloads.Generators.hierarchical rng ~lam:(T.semi_partitioned m) ~n
       ~base:(2, 15) ~heterogeneity:1.6 ~overhead:0.2 ()
   in
-  (* -- section 1: one feasibility solve per engine across the ladder -- *)
+  (* -- section 1: one feasibility solve per case across the ladder -- *)
   let allowance = 2_000_000 in
   (* (n, m, pivot allowance).  The 10k/1k row exists to measure how far
      a bounded pivot allowance gets at that scale — a full float solve
@@ -663,7 +661,6 @@ let run_lp ~quick () =
         (10000, 1000, 1_500);
       ]
   in
-  let dense_cap = if quick then 60 else 300 in
   let exact_cap = if quick then 60 else 1000 in
   let feasibility_case name f =
     match measure f with
@@ -685,32 +682,27 @@ let run_lp ~quick () =
     | None -> None
     | Some (_, hi) ->
         (* Solve at the certified upper bound: always feasible, so every
-           engine does the same full phase-1 work. *)
-        let exact engine () =
-          E.with_engine engine (fun () ->
-              I.lp_feasible_x ~pivots:(Hs_lp.Simplex.budget row_allowance) inst
-                ~tmax:hi
-              <> None)
+           case does the same full phase-1 work. *)
+        let exact () =
+          I.lp_feasible_x ~pivots:(Hs_lp.Simplex.budget row_allowance) inst ~tmax:hi
+          <> None
         in
         let cases =
-          [ feasibility_case "sparse_float"
-              (fun () ->
-                E.with_engine E.Sparse (fun () ->
-                    IF.lp_feasible_x ~pivots:(Hs_lp.Simplex.budget row_allowance)
-                      inst ~tmax:hi
-                    <> None)) ]
-          @ (if n <= exact_cap then
-               [ feasibility_case "sparse_exact" (exact E.Sparse);
-                 feasibility_case "sparse_exact_presolve"
-                   (fun () ->
-                     E.set_presolve true;
-                     Fun.protect
-                       ~finally:(fun () -> E.set_presolve false)
-                       (exact E.Sparse)) ]
-             else [])
-          @
-          if n <= dense_cap then [ feasibility_case "dense_exact" (exact E.Dense) ]
-          else []
+          feasibility_case "sparse_float" (fun () ->
+              IF.lp_feasible_x ~pivots:(Hs_lp.Simplex.budget row_allowance) inst
+                ~tmax:hi
+              <> None)
+          ::
+          (if n <= exact_cap then
+             [
+               feasibility_case "sparse_exact" exact;
+               feasibility_case "sparse_exact_presolve" (fun () ->
+                   Hs_lp.Simplex.set_presolve true;
+                   Fun.protect
+                     ~finally:(fun () -> Hs_lp.Simplex.set_presolve false)
+                     exact);
+             ]
+           else [])
         in
         let wall_of name =
           match List.assoc_opt name cases with
@@ -720,9 +712,9 @@ let run_lp ~quick () =
               | _ -> "  budget!")
           | _ -> "       -"
         in
-        Printf.printf "n=%-6d m=%-5d tmax=%-6d float=%s exact=%s presolve=%s dense=%s\n%!"
+        Printf.printf "n=%-6d m=%-5d tmax=%-6d float=%s exact=%s presolve=%s\n%!"
           n m hi (wall_of "sparse_float") (wall_of "sparse_exact")
-          (wall_of "sparse_exact_presolve") (wall_of "dense_exact");
+          (wall_of "sparse_exact_presolve");
         Some
           (Hs_obs.Json.Obj
              [

@@ -80,20 +80,7 @@ let stats_json_arg =
     & info [ "stats-json" ] ~docv:"FILE"
         ~doc:"Write the solver metrics registry as JSON to FILE.")
 
-(* ---------- LP engine selection ---------------------------------------- *)
-
-let lp_engine_arg =
-  Arg.(
-    value
-    & opt
-        (enum [ ("dense", Hs_lp.Engine.Dense); ("sparse", Hs_lp.Engine.Sparse) ])
-        Hs_lp.Engine.Sparse
-    & info [ "lp-engine" ] ~docv:"ENGINE"
-        ~doc:
-          "LP solver engine: 'sparse' (default) is the revised simplex over sparse \
-           rows with warm-started bases; 'dense' is the two-phase tableau kept as the \
-           differential oracle. Both follow identical pivot trajectories in exact \
-           arithmetic, so results, budgets and exit codes are engine-independent.")
+(* ---------- LP options ------------------------------------------------ *)
 
 let lp_presolve_arg =
   Arg.(
@@ -101,17 +88,12 @@ let lp_presolve_arg =
     & info [ "lp-presolve" ]
         ~doc:
           "Guess the optimal basis with a floating-point pre-solve and promote it to \
-           exact arithmetic only for certification (sparse engine only). Every guess \
-           is re-verified exactly, so verdicts and bounds are unaffected.")
+           exact arithmetic only for certification. Every guess is re-verified \
+           exactly, so verdicts and bounds are unaffected.")
 
-(* Evaluated by cmdliner before any run function body, so the engine is
+(* Evaluated by cmdliner before any run function body, so the setting is
    pinned for the whole process including at_exit stat dumps. *)
-let setup_lp_term =
-  let setup engine presolve =
-    Hs_lp.Engine.set engine;
-    Hs_lp.Engine.set_presolve presolve
-  in
-  Term.(const setup $ lp_engine_arg $ lp_presolve_arg)
+let setup_lp_term = Term.(const Hs_lp.Simplex.set_presolve $ lp_presolve_arg)
 
 (* The writers run from [at_exit] so that a run cut short by budget
    exhaustion (exit 4) still flushes a well-formed, merely truncated,

@@ -172,7 +172,7 @@ module Make (F : Hs_lp.Field.S) = struct
         let sol =
           try
             match warm with
-            | None when not (Hs_lp.Engine.presolve_enabled ()) ->
+            | None when not (Hs_lp.Simplex.presolve_enabled ()) ->
                 Solver.feasible ?pricing ?budget:pivots ~on_stall lp
             | _ ->
                 (* Warm store and/or float pre-solve: go through the

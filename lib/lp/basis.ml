@@ -1,17 +1,7 @@
-(* Engine-independent simplex basis descriptors; see basis.mli. *)
+(* Field-independent simplex basis descriptors; see basis.mli. *)
 
 type entry =
   | Var of int
   | Aux of int
 
 type t = entry list
-
-let compare_entry (a : entry) (b : entry) = Stdlib.compare a b
-
-let normalize (b : t) = List.sort_uniq compare_entry b
-
-let entry_to_string = function
-  | Var v -> Printf.sprintf "x%d" v
-  | Aux i -> Printf.sprintf "s%d" i
-
-let to_string b = String.concat " " (List.map entry_to_string b)

@@ -1,9 +1,9 @@
-(** Engine- and field-independent simplex basis descriptors.
+(** Field-independent simplex basis descriptors.
 
     A basis is described structurally — by which columns of the
     standard form are basic — rather than numerically, so a descriptor
     saved from one solve can be proposed to a {e different} (but
-    similar) problem: the revised engine re-factorises the proposed
+    similar) problem: {!Simplex} re-factorises the proposed
     columns from scratch, silently drops entries that no longer exist
     or are linearly dependent, and completes the basis with unit
     columns (this is the repair path).  A corrupted or stale descriptor
@@ -20,9 +20,3 @@ type t = entry list
     Artificial columns are never recorded: a redundant row whose
     artificial stayed basic at zero is simply omitted and re-repaired
     on load. *)
-
-val normalize : t -> t
-(** Sorted, duplicate-free form (load order is canonicalised anyway). *)
-
-val to_string : t -> string
-(** Diagnostic rendering, e.g. ["x0 x3 s1"]. *)

@@ -1,152 +1,200 @@
-(* Dense two-phase tableau simplex.
+(* Two-phase sparse revised simplex with a product-form-of-the-inverse
+   eta file and warm-startable bases.
 
-   Conventions:
+   Standard form and column numbering:
    - columns [0 .. nvars-1]            original variables
    - columns [nvars .. art_start-1]    slack / surplus variables
    - columns [art_start .. ncols-1]    artificial variables (phase 1 only)
-   - each row array has length ncols+1, the last entry being the rhs
-   - the cost row has the same length; its last entry holds the negated
-     current objective value and is updated by the same pivot operations.
+   Rows with a negative rhs are negated first (flipping the relation), so
+   the all-artificial/slack starting basis is primal feasible.
 
    Pricing: Dantzig's rule (most negative reduced cost) by default, with
    a permanent switch to Bland's rule after a run of degenerate pivots;
-   the leaving row always follows Bland's tie-breaking.  Since Bland's
-   rule terminates from any basis, the combination terminates even on
-   degenerate tableaus while keeping Dantzig's practical pivot counts. *)
+   the leaving row always follows Bland's tie-breaking (minimum ratio,
+   ties to the smallest basic column).  Since Bland's rule terminates
+   from any basis, the combination terminates even on degenerate
+   problems while keeping Dantzig's practical pivot counts.  Each
+   iteration does one BTRAN (pricing duals through the eta file), one
+   reduced-cost sweep over the sparse columns, and one FTRAN (the
+   entering direction), all O(nnz)-ish.
 
-(* Budgets, exceptions and metric cells live in {!Pivot_budget} so the
-   sparse revised engine can share them; re-exported here under their
-   historical names. *)
-type budget = Pivot_budget.t = { mutable pivots_left : int; total : int }
+   Basis lifecycle: a solve can start from a structural {!Basis.t}
+   descriptor saved from a previous (similar) problem.  The proposed
+   columns are re-factorised from scratch; dependent or vanished entries
+   are dropped, missing slots filled with unit columns, and columns
+   basic at a negative value dropped and re-factored until the point is
+   primal feasible — so a stale or corrupted descriptor costs pivots,
+   never correctness.  A recovered basis with every artificial at zero
+   is a feasibility WITNESS (phase 1 is skipped entirely); one with
+   positive artificials left is a warm phase-1 start that only has to
+   drive those few out.
 
-let budget = Pivot_budget.budget
-let consumed = Pivot_budget.consumed
+   The differential suite checks this engine's results and certificates
+   against the dense two-phase tableau in test/dense_oracle.ml. *)
 
-exception Pivot_limit = Pivot_budget.Pivot_limit
-exception Stall = Pivot_budget.Stall
+type budget = { mutable pivots_left : int; total : int }
 
-module Obs = Pivot_budget.Obs
+let budget n = { pivots_left = n; total = n }
+let consumed b = b.total - b.pivots_left
 
-module Make (F : Field.S) = struct
+exception Pivot_limit
+exception Stall
+
+(* Telemetry (Hs_obs): metric cells are registered once here, outside
+   every functor, so the exact and float instantiations share them. *)
+module Obs = struct
+  module M = Hs_obs.Metrics
+
+  let pivots = M.counter "simplex.pivots"
+  let degenerate = M.counter "simplex.degenerate_pivots"
+  let solves = M.counter "simplex.solves"
+
+  let pivots_per_solve =
+    M.histogram ~buckets:[ 10; 30; 100; 300; 1_000; 10_000 ] "simplex.pivots_per_solve"
+
+  (* Warm-start accounting: [hits] counts proposed bases accepted after
+     exact re-verification (phase 1 skipped), [misses] proposals
+     rejected (fell back to a cold phase 1), and [repairs] basis slots
+     that had to be rebuilt — dropped dependent or out-of-range columns
+     plus unit-column completions. *)
+  let warm_hits = M.counter "lp.warm_start.hits"
+  let warm_misses = M.counter "lp.warm_start.misses"
+  let warm_repairs = M.counter "lp.warm_start.repairs"
+
+  (* Float pre-solve runs feeding basis guesses to the exact engine. *)
+  let presolve_guesses = M.counter "lp.presolve.guesses"
+end
+
+(* Charge one pivot: the metrics counter and the budget meter decrement
+   at the same site, so `simplex.pivots` always equals the consumed
+   allowance. *)
+let charge budget =
+  (match budget with
+  | None -> ()
+  | Some b ->
+      if b.pivots_left <= 0 then raise Pivot_limit
+      else b.pivots_left <- b.pivots_left - 1);
+  Hs_obs.Metrics.incr Obs.pivots
+
+let presolve = ref false
+let set_presolve b = presolve := b
+let presolve_enabled () = !presolve
+
+(* The engine proper, uninstrumented: {!Make} wraps its entry points in
+   spans and solve counters, and the float pre-solve calls the float
+   instance directly so its guesses are not observed as solves. *)
+module Core (F : Field.S) = struct
+  module S = Sparse.Make (F)
+
   type solution = { x : F.t array; objective : F.t; basic : bool array }
   type result = Optimal of solution | Infeasible | Unbounded
+  type pricing = Bland | Dantzig
+  type feasibility = Feasible of solution | Infeasible_certificate of F.t array
+  type certified = { primal : solution; duals : F.t array }
 
-  type tableau = {
-    mutable rows : F.t array array;
-    mutable basis : int array;
-    ncols : int;
-    nvars : int;
-    art_start : int;
-    row_info : row_info array;
-        (* per original constraint, in declaration order: how it was
-           normalised and which auxiliary columns it received — used to
-           recover dual (Farkas) values from the phase-1 cost row *)
-  }
+  type certified_result =
+    | Certified_optimal of certified
+    | Certified_infeasible of F.t array
+    | Certified_unbounded
 
-  and row_info = {
+  (* Per original constraint, in declaration order: how it was
+     normalised and which auxiliary columns it received. *)
+  type row_info = {
     flipped : bool;  (* the row was negated to make its rhs non-negative *)
     surplus : int option;  (* column of a -1 slack (>= rows) *)
     slack : int option;  (* column of a +1 slack (<= rows) *)
     art : int option;  (* column of the artificial, if any *)
   }
 
-  let pivot t cost ~row ~col =
-    let prow = t.rows.(row) in
-    let piv = prow.(col) in
-    for j = 0 to t.ncols do
-      prow.(j) <- F.div prow.(j) piv
+  (* One elementary pivot matrix: applying it to a vector divides the
+     pivot row by [e_piv] and eliminates the off-row entries. *)
+  type eta = { e_row : int; e_piv : F.t; e_off : (int * F.t) array }
+
+  type core = {
+    cols : S.t;
+        (* CSR of Aᵀ over the FULL standard form (aux and artificial
+           columns included): row [j] of [cols] is column [j] of A. *)
+    nrows : int;
+    nvars : int;
+    art_start : int;
+    ncols : int;
+    b : F.t array;  (* normalised (non-negative) right-hand sides *)
+    row_info : row_info array;
+    init_basic : int array;  (* row → its natural unit column *)
+    aux_owner : int array;  (* aux column → owning row, -1 elsewhere *)
+    basis : int array;  (* row → basic column *)
+    in_basis : bool array;
+    redundant : bool array;
+        (* rows whose artificial could not be driven out: they are
+           combinations of the other rows, so their direction component
+           is identically zero in exact arithmetic and they never block
+           a ratio test *)
+    xb : F.t array;  (* row → value of the basic variable *)
+    mutable etas : eta array;  (* eta file, oldest first, [0, neta) live *)
+    mutable neta : int;
+  }
+
+  (* ---- eta file --------------------------------------------------- *)
+
+  let push_eta core e =
+    if core.neta = Array.length core.etas then begin
+      let cap = Stdlib.max 8 (2 * core.neta) in
+      let bigger = Array.make cap e in
+      Array.blit core.etas 0 bigger 0 core.neta;
+      core.etas <- bigger
+    end;
+    core.etas.(core.neta) <- e;
+    core.neta <- core.neta + 1
+
+  (* FTRAN: v ← B⁻¹ v, applying the etas oldest first. *)
+  let ftran core (v : F.t array) =
+    for k = 0 to core.neta - 1 do
+      let e = core.etas.(k) in
+      let t = F.div v.(e.e_row) e.e_piv in
+      v.(e.e_row) <- t;
+      if F.sign t <> 0 then
+        Array.iter (fun (i, dv) -> v.(i) <- F.sub v.(i) (F.mul dv t)) e.e_off
+    done
+
+  (* BTRAN: w ← B⁻ᵀ w, applying the etas newest first (transposed). *)
+  let btran core (w : F.t array) =
+    for k = core.neta - 1 downto 0 do
+      let e = core.etas.(k) in
+      let acc = ref w.(e.e_row) in
+      Array.iter
+        (fun (i, dv) ->
+          if F.sign w.(i) <> 0 then acc := F.sub !acc (F.mul dv w.(i)))
+        e.e_off;
+      w.(e.e_row) <- F.div !acc e.e_piv
+    done
+
+  (* The entering column's direction d = B⁻¹ A_col. *)
+  let direction core col =
+    let d = Array.make core.nrows F.zero in
+    S.scatter_row core.cols col d;
+    ftran core d;
+    d
+
+  (* Simplex multipliers for a cost vector: y = B⁻ᵀ c_B, so that the
+     reduced cost of column j is c_j − y·A_j. *)
+  let btran_costs core (cost : F.t array) =
+    let y = Array.init core.nrows (fun r -> cost.(core.basis.(r))) in
+    btran core y;
+    y
+
+  let reduced_cost core cost (y : F.t array) j =
+    F.sub cost.(j) (S.dot_row core.cols j y)
+
+  (* c·x at the current basis (nonbasic variables are zero). *)
+  let objective_value core (cost : F.t array) =
+    let acc = ref F.zero in
+    for r = 0 to core.nrows - 1 do
+      let c = cost.(core.basis.(r)) in
+      if F.sign c <> 0 then acc := F.add !acc (F.mul c core.xb.(r))
     done;
-    let eliminate r =
-      if r != prow then begin
-        let f = r.(col) in
-        if F.sign f <> 0 then
-          for j = 0 to t.ncols do
-            r.(j) <- F.sub r.(j) (F.mul f prow.(j))
-          done
-      end
-    in
-    Array.iter eliminate t.rows;
-    eliminate cost;
-    t.basis.(row) <- col
+    !acc
 
-  type pricing = Bland | Dantzig
-
-  (* Entering rules over the allowed column range: Bland picks the
-     smallest eligible index (anti-cycling), Dantzig the most negative
-     reduced cost (fewer pivots in practice). *)
-  let entering pricing cost ~max_col =
-    match pricing with
-    | Bland ->
-        let rec go j =
-          if j >= max_col then None
-          else if F.sign cost.(j) < 0 then Some j
-          else go (j + 1)
-        in
-        go 0
-    | Dantzig ->
-        let best = ref None in
-        for j = 0 to max_col - 1 do
-          if F.sign cost.(j) < 0 then
-            match !best with
-            | None -> best := Some j
-            | Some b -> if F.compare cost.(j) cost.(b) < 0 then best := Some j
-        done;
-        !best
-
-  (* Bland leaving rule: minimum ratio, ties by smallest basic column. *)
-  let leaving t ~col =
-    let best = ref None in
-    Array.iteri
-      (fun r row ->
-        if F.sign row.(col) > 0 then begin
-          let ratio = F.div row.(t.ncols) row.(col) in
-          match !best with
-          | None -> best := Some (r, ratio)
-          | Some (br, bratio) ->
-              let c = F.compare ratio bratio in
-              if c < 0 || (c = 0 && t.basis.(r) < t.basis.(br)) then
-                best := Some (r, ratio)
-        end)
-      t.rows;
-    Option.map fst !best
-
-  (* Dantzig pricing does not terminate on its own under degeneracy; we
-     count consecutive zero-progress (degenerate) pivots and fall back to
-     Bland's rule permanently once they exceed a threshold, which
-     guarantees termination from any basis.  [on_stall] picks what
-     happens at the threshold: [`Bland] switches rules silently (the
-     historical behaviour), [`Fail] raises {!Stall} so the caller can
-     restart the whole solve under Bland's rule explicitly.  [budget], if
-     given, is decremented once per pivot across every call sharing it;
-     {!Pivot_limit} is raised when it runs dry. *)
-  let optimize ?(pricing = Dantzig) ?budget ?(on_stall = `Bland) t cost ~max_col =
-    let charge () = Pivot_budget.charge budget in
-    let degenerate_limit = (2 * t.ncols) + 16 in
-    let rec go pricing degenerate =
-      match entering pricing cost ~max_col with
-      | None -> `Optimal
-      | Some col -> (
-          match leaving t ~col with
-          | None -> `Unbounded
-          | Some row ->
-              let zero_progress = F.sign t.rows.(row).(t.ncols) = 0 in
-              charge ();
-              if zero_progress then Hs_obs.Metrics.incr Obs.degenerate;
-              pivot t cost ~row ~col;
-              if pricing = Bland then go Bland 0
-              else if zero_progress then
-                if degenerate + 1 > degenerate_limit then
-                  match on_stall with `Bland -> go Bland 0 | `Fail -> raise Stall
-                else go pricing (degenerate + 1)
-              else go pricing 0)
-    in
-    go pricing 0
-
-  (* Densify a sparse term list, summing duplicate variable entries. *)
-  let densify nvars terms =
-    let a = Array.make nvars F.zero in
-    List.iter (fun (v, c) -> a.(v) <- F.add a.(v) c) terms;
-    a
+  (* ---- standard form ---------------------------------------------- *)
 
   let build (p : F.t Lp_problem.t) =
     let open Lp_problem in
@@ -154,14 +202,13 @@ module Make (F : Field.S) = struct
     let raw =
       List.map
         (fun c ->
-          let coeffs = densify nvars c.terms in
           (* Ensure a non-negative rhs, flipping the relation as needed. *)
-          if F.sign c.rhs < 0 then begin
-            Array.iteri (fun i x -> coeffs.(i) <- F.neg x) coeffs;
-            let rel = match c.rel with Le -> Ge | Ge -> Le | Eq -> Eq in
-            (coeffs, rel, F.neg c.rhs, true)
-          end
-          else (coeffs, c.rel, c.rhs, false))
+          if F.sign c.rhs < 0 then
+            ( List.map (fun (v, k) -> (v, F.neg k)) c.terms,
+              (match c.rel with Le -> Ge | Ge -> Le | Eq -> Eq),
+              F.neg c.rhs,
+              true )
+          else (c.terms, c.rel, c.rhs, false))
         p.constrs
     in
     let nrows = List.length raw in
@@ -177,122 +224,478 @@ module Make (F : Field.S) = struct
     in
     let art_start = nvars + nslack in
     let ncols = art_start + nart in
-    let rows = Array.init nrows (fun _ -> Array.make (ncols + 1) F.zero) in
-    let basis = Array.make nrows (-1) in
+    let rows = Array.make nrows [] in
+    let b = Array.make nrows F.zero in
     let row_info =
       Array.make nrows { flipped = false; surplus = None; slack = None; art = None }
     in
+    let init_basic = Array.make nrows (-1) in
     let next_slack = ref nvars and next_art = ref art_start in
     List.iteri
-      (fun r (coeffs, rel, rhs, flipped) ->
-        let row = rows.(r) in
-        Array.blit coeffs 0 row 0 nvars;
-        row.(ncols) <- rhs;
-        (match rel with
-        | Lp_problem.Le ->
-            row.(!next_slack) <- F.one;
-            basis.(r) <- !next_slack;
-            row_info.(r) <- { flipped; surplus = None; slack = Some !next_slack; art = None };
-            incr next_slack
-        | Lp_problem.Ge ->
-            row.(!next_slack) <- F.neg F.one;
-            row_info.(r) <- { flipped; surplus = Some !next_slack; slack = None; art = None };
-            incr next_slack;
-            row.(!next_art) <- F.one;
-            basis.(r) <- !next_art;
-            row_info.(r) <- { row_info.(r) with art = Some !next_art };
-            incr next_art
-        | Lp_problem.Eq ->
-            row.(!next_art) <- F.one;
-            basis.(r) <- !next_art;
-            row_info.(r) <- { flipped; surplus = None; slack = None; art = Some !next_art };
-            incr next_art))
+      (fun r (terms, rel, rhs, flipped) ->
+        b.(r) <- rhs;
+        let aux =
+          match rel with
+          | Lp_problem.Le ->
+              let s = !next_slack in
+              incr next_slack;
+              init_basic.(r) <- s;
+              row_info.(r) <- { flipped; surplus = None; slack = Some s; art = None };
+              [ (s, F.one) ]
+          | Lp_problem.Ge ->
+              let s = !next_slack in
+              incr next_slack;
+              let a = !next_art in
+              incr next_art;
+              init_basic.(r) <- a;
+              row_info.(r) <- { flipped; surplus = Some s; slack = None; art = Some a };
+              [ (s, F.neg F.one); (a, F.one) ]
+          | Lp_problem.Eq ->
+              let a = !next_art in
+              incr next_art;
+              init_basic.(r) <- a;
+              row_info.(r) <- { flipped; surplus = None; slack = None; art = Some a };
+              [ (a, F.one) ]
+        in
+        rows.(r) <- terms @ aux)
       raw;
-    { rows; basis; ncols; nvars; art_start; row_info }
+    let a = S.of_rows ~nrows ~ncols rows in
+    let cols = S.transpose a in
+    let aux_owner = Array.make (Stdlib.max 1 ncols) (-1) in
+    Array.iteri
+      (fun r info ->
+        (match info.surplus with Some c -> aux_owner.(c) <- r | None -> ());
+        match info.slack with Some c -> aux_owner.(c) <- r | None -> ())
+      row_info;
+    let in_basis = Array.make (Stdlib.max 1 ncols) false in
+    Array.iter (fun c -> in_basis.(c) <- true) init_basic;
+    {
+      cols;
+      nrows;
+      nvars;
+      art_start;
+      ncols;
+      b;
+      row_info;
+      init_basic;
+      aux_owner;
+      basis = Array.copy init_basic;
+      in_basis;
+      redundant = Array.make (Stdlib.max 1 nrows) false;
+      xb = Array.copy b;
+      etas = [||];
+      neta = 0;
+    }
 
-  (* Phase 1: minimise the sum of artificial variables. *)
-  let phase1 ?pricing ?budget ?on_stall t =
-    let cost = Array.make (t.ncols + 1) F.zero in
-    for j = t.art_start to t.ncols - 1 do
+  let reset_cold core =
+    core.neta <- 0;
+    Array.blit core.init_basic 0 core.basis 0 core.nrows;
+    Array.fill core.in_basis 0 (Array.length core.in_basis) false;
+    Array.iter (fun c -> core.in_basis.(c) <- true) core.init_basic;
+    Array.fill core.redundant 0 (Array.length core.redundant) false;
+    Array.blit core.b 0 core.xb 0 core.nrows
+
+  (* ---- pivoting ----------------------------------------------------- *)
+
+  (* Entering rules over the allowed column range: Bland picks the
+     smallest eligible index (anti-cycling), Dantzig the most negative
+     reduced cost with ties to the earlier column.  Basic columns are
+     skipped — their reduced cost is exactly zero. *)
+  let entering pricing core cost (y : F.t array) ~max_col =
+    match pricing with
+    | Bland ->
+        let rec go j =
+          if j >= max_col then None
+          else if (not core.in_basis.(j)) && F.sign (reduced_cost core cost y j) < 0
+          then Some j
+          else go (j + 1)
+        in
+        go 0
+    | Dantzig ->
+        let best = ref None and bestv = ref F.zero in
+        for j = 0 to max_col - 1 do
+          if not core.in_basis.(j) then begin
+            let v = reduced_cost core cost y j in
+            if F.sign v < 0 then
+              match !best with
+              | None ->
+                  best := Some j;
+                  bestv := v
+              | Some _ ->
+                  if F.compare v !bestv < 0 then begin
+                    best := Some j;
+                    bestv := v
+                  end
+          end
+        done;
+        !best
+
+  (* Bland leaving rule: minimum ratio, ties by smallest basic column.
+     Redundant rows are skipped — their direction component is zero in
+     exact arithmetic anyway (the row is a combination of the others). *)
+  let leaving core (d : F.t array) =
+    let best = ref None in
+    for r = 0 to core.nrows - 1 do
+      if (not core.redundant.(r)) && F.sign d.(r) > 0 then begin
+        let ratio = F.div core.xb.(r) d.(r) in
+        match !best with
+        | None -> best := Some (r, ratio)
+        | Some (br, bratio) ->
+            let c = F.compare ratio bratio in
+            if c < 0 || (c = 0 && core.basis.(r) < core.basis.(br)) then
+              best := Some (r, ratio)
+      end
+    done;
+    Option.map fst !best
+
+  let pivot core ~row ~col (d : F.t array) =
+    let t = F.div core.xb.(row) d.(row) in
+    let off = ref [] in
+    for i = core.nrows - 1 downto 0 do
+      if i <> row && F.sign d.(i) <> 0 then begin
+        off := (i, d.(i)) :: !off;
+        if F.sign t <> 0 then core.xb.(i) <- F.sub core.xb.(i) (F.mul d.(i) t)
+      end
+    done;
+    push_eta core { e_row = row; e_piv = d.(row); e_off = Array.of_list !off };
+    core.xb.(row) <- t;
+    core.in_basis.(core.basis.(row)) <- false;
+    core.in_basis.(col) <- true;
+    core.basis.(row) <- col
+
+  (* Dantzig pricing does not terminate on its own under degeneracy; we
+     count consecutive zero-progress (degenerate) pivots and fall back to
+     Bland's rule permanently once they exceed a threshold, which
+     guarantees termination from any basis.  [on_stall] picks what
+     happens at the threshold: [`Bland] switches rules silently,
+     [`Fail] raises {!Stall} so the caller can restart the whole solve
+     under Bland's rule explicitly.  [budget], if given, is decremented
+     once per pivot across every call sharing it; {!Pivot_limit} is
+     raised when it runs dry. *)
+  let optimize ?(pricing = Dantzig) ?budget ?(on_stall = `Bland) core cost ~max_col =
+    let degenerate_limit = (2 * core.ncols) + 16 in
+    let rec go pricing degenerate =
+      let y = btran_costs core cost in
+      match entering pricing core cost y ~max_col with
+      | None -> `Optimal
+      | Some col -> (
+          let d = direction core col in
+          match leaving core d with
+          | None -> `Unbounded
+          | Some row ->
+              let zero_progress = F.sign core.xb.(row) = 0 in
+              charge budget;
+              if zero_progress then Hs_obs.Metrics.incr Obs.degenerate;
+              pivot core ~row ~col d;
+              if pricing = Bland then go Bland 0
+              else if zero_progress then
+                if degenerate + 1 > degenerate_limit then
+                  match on_stall with `Bland -> go Bland 0 | `Fail -> raise Stall
+                else go pricing (degenerate + 1)
+              else go pricing 0)
+    in
+    go pricing 0
+
+  (* Phase 1: minimise the sum of artificial variables.  Returns the
+     feasibility verdict and the simplex multipliers at the optimum (the
+     Farkas witness when infeasible). *)
+  let phase1 ?pricing ?budget ?on_stall core =
+    let cost = Array.make (Stdlib.max 1 core.ncols) F.zero in
+    for j = core.art_start to core.ncols - 1 do
       cost.(j) <- F.one
     done;
-    (* Canonicalise: basic artificial columns must have zero reduced cost. *)
-    Array.iteri
-      (fun r b ->
-        if b >= t.art_start then
-          let row = t.rows.(r) in
-          for j = 0 to t.ncols do
-            cost.(j) <- F.sub cost.(j) row.(j)
-          done)
-      t.basis;
-    match optimize ?pricing ?budget ?on_stall t cost ~max_col:t.ncols with
+    match optimize ?pricing ?budget ?on_stall core cost ~max_col:core.ncols with
     | `Unbounded ->
         (* The phase-1 objective is bounded below by zero. *)
         assert false
     | `Optimal ->
-        (* Objective value is -cost.(ncols). *)
-        (F.sign (F.neg cost.(t.ncols)) = 0, cost)
+        let feasible = F.sign (objective_value core cost) = 0 in
+        (feasible, btran_costs core cost)
 
-  (* Recover the phase-1 dual values (one per original constraint) from
-     the final reduced-cost row: for slack/surplus columns the original
-     cost is 0, so redcost = ∓y; for artificial columns it is 1, so
-     redcost = 1 - y.  Flipped rows get their dual negated back.  When
-     the phase-1 optimum is positive, this vector is a Farkas witness of
-     primal infeasibility (weak duality gives yᵀb > 0). *)
-  let farkas_of_phase1 t cost =
-    Array.map
-      (fun info ->
-        let y =
-          match (info.surplus, info.slack, info.art) with
-          | Some col, _, _ -> cost.(col)
-          | _, Some col, _ -> F.neg cost.(col)
-          | _, _, Some col -> F.sub F.one cost.(col)
-          | None, None, None -> assert false
+  (* The per-row dual value with the rhs-flip undone — used both for the
+     Farkas witness (phase-1 multipliers: when the phase-1 optimum is
+     positive, weak duality gives yᵀb > 0) and the optimality
+     certificate (phase-2 multipliers). *)
+  let row_duals core (y : F.t array) =
+    Array.mapi
+      (fun r info -> if info.flipped then F.neg y.(r) else y.(r))
+      core.row_info
+
+  (* Remove artificial variables from the basis row by row: pivot on the
+     first structural/aux column with a nonzero transformed entry, else
+     mark the row redundant.  These exchange pivots are free — they are
+     not charged to the budget. *)
+  let drive_out core =
+    for r = 0 to core.nrows - 1 do
+      if (not core.redundant.(r)) && core.basis.(r) >= core.art_start then begin
+        let beta = Array.make core.nrows F.zero in
+        beta.(r) <- F.one;
+        btran core beta;
+        (* beta·A_j = entry (r, j) of the current tableau *)
+        let rec find j =
+          if j >= core.art_start then None
+          else if F.sign (S.dot_row core.cols j beta) <> 0 then Some j
+          else find (j + 1)
         in
-        if info.flipped then F.neg y else y)
-      t.row_info
+        match find 0 with
+        | Some col ->
+            let d = direction core col in
+            pivot core ~row:r ~col d
+        | None -> core.redundant.(r) <- true
+      end
+    done
 
-  (* Remove artificial variables from the basis; delete redundant rows. *)
-  let drive_out_artificials t cost =
-    let keep = Array.make (Array.length t.rows) true in
-    Array.iteri
-      (fun r b ->
-        if b >= t.art_start then begin
-          let row = t.rows.(r) in
-          let rec find j =
-            if j >= t.art_start then None
-            else if F.sign row.(j) <> 0 then Some j
-            else find (j + 1)
-          in
-          match find 0 with
-          | Some col -> pivot t cost ~row:r ~col
-          | None -> keep.(r) <- false (* redundant constraint *)
-        end)
-      t.basis;
-    if Array.exists not keep then begin
-      let rows = ref [] and basis = ref [] in
-      Array.iteri
-        (fun r row ->
-          if keep.(r) then begin
-            rows := row :: !rows;
-            basis := t.basis.(r) :: !basis
-          end)
-        t.rows;
-      t.rows <- Array.of_list (List.rev !rows);
-      t.basis <- Array.of_list (List.rev !basis)
+  let extract core ~objective =
+    let x = Array.make core.nvars F.zero in
+    let basic = Array.make core.nvars false in
+    for r = 0 to core.nrows - 1 do
+      let bcol = core.basis.(r) in
+      if bcol < core.nvars then begin
+        x.(bcol) <- core.xb.(r);
+        basic.(bcol) <- true
+      end
+    done;
+    { x; objective; basic }
+
+  (* ---- basis lifecycle -------------------------------------------- *)
+
+  let describe core : Basis.t =
+    let acc = ref [] in
+    for r = core.nrows - 1 downto 0 do
+      let bcol = core.basis.(r) in
+      if bcol < core.nvars then acc := Basis.Var bcol :: !acc
+      else if bcol < core.art_start then
+        acc := Basis.Aux core.aux_owner.(bcol) :: !acc
+    done;
+    !acc
+
+  (* Re-factorise a proposed column set from scratch: FTRAN each column
+     through the partial eta file, pivot it at the unassigned row with
+     the largest magnitude (ties to the smallest row), drop columns that
+     come out dependent, then complete the remaining rows with their
+     natural unit columns.  Because the placed columns are nonsingular
+     on their pivot rows, the unit columns of the unassigned rows always
+     span the rest — completion cannot fail in exact arithmetic (float
+     tolerance can make it fail, in which case the caller goes cold).
+     Returns [(success, repaired_slots)]. *)
+  let try_basis core cols =
+    core.neta <- 0;
+    let assigned = Array.make (Stdlib.max 1 core.nrows) false in
+    let nbasis = Array.make (Stdlib.max 1 core.nrows) (-1) in
+    let placed = ref 0 in
+    let place col =
+      let d = Array.make core.nrows F.zero in
+      S.scatter_row core.cols col d;
+      ftran core d;
+      let best = ref (-1) and bestm = ref 0.0 in
+      for r = 0 to core.nrows - 1 do
+        if (not assigned.(r)) && F.sign d.(r) <> 0 then begin
+          let m = Float.abs (F.to_float d.(r)) in
+          if !best < 0 || m > !bestm then begin
+            best := r;
+            bestm := m
+          end
+        end
+      done;
+      if !best < 0 then false
+      else begin
+        let r = !best in
+        let off = ref [] in
+        for i = core.nrows - 1 downto 0 do
+          if i <> r && F.sign d.(i) <> 0 then off := (i, d.(i)) :: !off
+        done;
+        push_eta core { e_row = r; e_piv = d.(r); e_off = Array.of_list !off };
+        assigned.(r) <- true;
+        nbasis.(r) <- col;
+        incr placed;
+        true
+      end
+    in
+    List.iter (fun col -> ignore (place col)) cols;
+    let repairs = core.nrows - !placed in
+    let progress = ref true in
+    while !placed < core.nrows && !progress do
+      progress := false;
+      for r = 0 to core.nrows - 1 do
+        if not assigned.(r) then
+          if place core.init_basic.(r) then progress := true
+      done
+    done;
+    if !placed < core.nrows then (false, repairs)
+    else begin
+      Array.blit nbasis 0 core.basis 0 core.nrows;
+      Array.fill core.in_basis 0 (Array.length core.in_basis) false;
+      Array.iter (fun c -> core.in_basis.(c) <- true) core.basis;
+      Array.fill core.redundant 0 (Array.length core.redundant) false;
+      Array.blit core.b 0 core.xb 0 core.nrows;
+      ftran core core.xb;
+      (true, repairs)
     end
 
-  let extract t ~objective =
-    let x = Array.make t.nvars F.zero in
-    let basic = Array.make t.nvars false in
-    Array.iteri
-      (fun r b ->
-        if b < t.nvars then begin
-          x.(b) <- t.rows.(r).(t.ncols);
-          basic.(b) <- true
-        end)
-      t.basis;
-    { x; objective; basic }
+  (* What a loaded basis is good for.  [Warm_witness]: x_B ≥ 0 with
+     every basic artificial at zero — the basis proves feasibility
+     outright and phase 1 is skipped entirely.  [Warm_start]: x_B ≥ 0
+     but some artificial sits basic at a positive level (typically the
+     rows a replayed event added since the basis was saved) — a legal
+     primal-feasible start for phase 1, which then only has to drive
+     out those few artificials instead of all of them.  [Warm_cold]:
+     no primal-feasible point could be recovered from the proposal even
+     after repair, and the solve falls back to the all-artificial cold
+     basis. *)
+  type warm_status = Warm_witness | Warm_start | Warm_cold
+
+  let warm_classify core =
+    let neg = ref false and art = ref false in
+    for r = 0 to core.nrows - 1 do
+      let s = F.sign core.xb.(r) in
+      if s < 0 then neg := true
+      else if s <> 0 && core.basis.(r) >= core.art_start then art := true
+    done;
+    if !neg then Warm_cold else if !art then Warm_start else Warm_witness
+
+  (* Load a proposal, repairing it towards primal feasibility: when the
+     factored basis carries negative basic values (the rhs moved under
+     it — e.g. a binary-search probe at a different horizon re-scales
+     the capacity rows, and B⁻¹b need not stay non-negative), drop the
+     proposal columns basic at the negative rows and re-factor, letting
+     those rows fall back to their natural unit columns.  Each round
+     removes at least one column, and the empty proposal degenerates to
+     the cold all-artificial basis with x_B = b̄ ≥ 0, so the loop always
+     terminates — usually after one or two rounds, with only the few
+     repaired rows left for phase 1 to clean up. *)
+  let rec load_repairing core cols ~dropped =
+    let ok, unplaced = try_basis core cols in
+    if not ok then (Warm_cold, dropped + unplaced)
+    else
+      match warm_classify core with
+      | (Warm_witness | Warm_start) as status -> (status, dropped + unplaced)
+      | Warm_cold ->
+          let offending = ref [] in
+          for r = 0 to core.nrows - 1 do
+            if F.sign core.xb.(r) < 0 then offending := core.basis.(r) :: !offending
+          done;
+          let keep = List.filter (fun c -> not (List.mem c !offending)) cols in
+          if List.compare_lengths keep cols = 0 then (Warm_cold, dropped + unplaced)
+          else
+            load_repairing core keep
+              ~dropped:(dropped + List.length cols - List.length keep)
+
+  let try_warm core warm =
+    match warm with
+    | None | Some [] -> Warm_cold
+    | Some proposal ->
+        let cols =
+          List.filter_map
+            (function
+              | Basis.Var v -> if v >= 0 && v < core.nvars then Some v else None
+              | Basis.Aux i ->
+                  if i < 0 || i >= core.nrows then None
+                  else (
+                    match core.row_info.(i) with
+                    | { slack = Some c; _ } -> Some c
+                    | { surplus = Some c; _ } -> Some c
+                    | _ -> None))
+            proposal
+          |> List.sort_uniq Int.compare
+        in
+        if cols = [] then begin
+          Hs_obs.Metrics.incr Obs.warm_misses;
+          Warm_cold
+        end
+        else begin
+          match load_repairing core cols ~dropped:0 with
+          | (Warm_witness | Warm_start) as status, repairs ->
+              Hs_obs.Metrics.incr Obs.warm_hits;
+              if repairs > 0 then Hs_obs.Metrics.add Obs.warm_repairs repairs;
+              status
+          | Warm_cold, _ ->
+              reset_cold core;
+              Hs_obs.Metrics.incr Obs.warm_misses;
+              Warm_cold
+        end
+
+  (* Feasibility via the warm proposal when it is an outright witness,
+     else phase 1 — run from the warm basis when it was at least a
+     valid start, from the cold all-artificial basis otherwise. *)
+  let warm_or_phase1 ?pricing ?budget ?on_stall core warm =
+    match try_warm core warm with
+    | Warm_witness -> true
+    | Warm_start | Warm_cold -> fst (phase1 ?pricing ?budget ?on_stall core)
+
+  (* ---- entry points ------------------------------------------------- *)
+
+  let costs_of core (objective : (int * F.t) list) =
+    let cost = Array.make (Stdlib.max 1 core.ncols) F.zero in
+    List.iter (fun (v, c) -> cost.(v) <- F.add cost.(v) c) objective;
+    cost
+
+  let solve ?pricing ?budget ?on_stall ?(maximize = false) ?warm
+      (p : F.t Lp_problem.t) =
+    let p =
+      if maximize then
+        {
+          p with
+          Lp_problem.objective =
+            List.map (fun (v, c) -> (v, F.neg c)) p.Lp_problem.objective;
+        }
+      else p
+    in
+    let core = build p in
+    if not (warm_or_phase1 ?pricing ?budget ?on_stall core warm) then Infeasible
+    else begin
+      let cost = costs_of core p.Lp_problem.objective in
+      drive_out core;
+      match optimize ?pricing ?budget ?on_stall core cost ~max_col:core.art_start with
+      | `Unbounded -> Unbounded
+      | `Optimal ->
+          let obj = objective_value core cost in
+          let obj = if maximize then F.neg obj else obj in
+          Optimal (extract core ~objective:obj)
+    end
+
+  let feasible_basis ?pricing ?budget ?on_stall ?warm (p : F.t Lp_problem.t) =
+    let p = { p with Lp_problem.objective = [] } in
+    let core = build p in
+    if not (warm_or_phase1 ?pricing ?budget ?on_stall core warm) then None
+    else begin
+      drive_out core;
+      Some (extract core ~objective:F.zero, describe core)
+    end
+
+  let feasible_certified ?pricing ?budget ?on_stall (p : F.t Lp_problem.t) =
+    let p = { p with Lp_problem.objective = [] } in
+    let core = build p in
+    let ok, y = phase1 ?pricing ?budget ?on_stall core in
+    if not ok then Infeasible_certificate (row_duals core y)
+    else begin
+      drive_out core;
+      Feasible (extract core ~objective:F.zero)
+    end
+
+  let solve_certified (p : F.t Lp_problem.t) =
+    let core = build p in
+    let ok, y1 = phase1 core in
+    if not ok then Certified_infeasible (row_duals core y1)
+    else begin
+      let cost = costs_of core p.Lp_problem.objective in
+      drive_out core;
+      match optimize core cost ~max_col:core.art_start with
+      | `Unbounded -> Certified_unbounded
+      | `Optimal ->
+          let y = btran_costs core cost in
+          Certified_optimal
+            {
+              primal = extract core ~objective:(objective_value core cost);
+              duals = row_duals core y;
+            }
+    end
+end
+
+module Float_core = Core (Field.Float)
+
+module Make (F : Field.S) = struct
+  module C = Core (F)
+  include C
 
   (* Per-solve telemetry: one span per public solver entry and the
      pivots-per-solve histogram (delta of the shared pivot counter).
@@ -314,28 +717,13 @@ module Make (F : Field.S) = struct
       "simplex.solve"
       (fun () -> Fun.protect ~finally:observe f)
 
-  (* ---- sparse engine bridge ---------------------------------------
-
-     Both engines sit behind the same public entry points; {!Engine}
-     picks which one actually pivots.  All the instrumentation (spans,
-     solve counters, pivot histograms) stays on this side of the
-     dispatch so the two engines are observed identically. *)
-
-  module R = Revised.Make (F)
-  module RFloat = Revised.Make (Field.Float)
-
-  let to_rpricing = function Bland -> R.Bland | Dantzig -> R.Dantzig
-
-  let of_rsolution (s : R.solution) =
-    { x = s.R.x; objective = s.R.objective; basic = s.R.basic }
-
   (* Float pre-solve: guess the optimal basis numerically and promote it
      to the exact field as a warm-start hint.  The guess is re-verified
-     by the exact engine's warm loader, so float noise costs pivots,
-     never correctness — in particular a float "infeasible" is never
-     trusted (we just keep the caller's own hint). *)
+     by the exact warm loader, so float noise costs pivots, never
+     correctness — in particular a float "infeasible" is never trusted
+     (we just keep the caller's own hint). *)
   let presolve_hint (p : F.t Lp_problem.t) warm =
-    Hs_obs.Metrics.incr Pivot_budget.Obs.presolve_guesses;
+    Hs_obs.Metrics.incr Obs.presolve_guesses;
     let fp =
       {
         Lp_problem.nvars = p.Lp_problem.nvars;
@@ -353,56 +741,14 @@ module Make (F : Field.S) = struct
             p.Lp_problem.constrs;
       }
     in
-    match RFloat.feasible_basis ?warm fp with
+    match Float_core.feasible_basis ?warm fp with
     | Some (_, basis) -> Some basis
     | None -> warm
     | exception Division_by_zero -> warm
 
-  let dense_solve ?pricing ?budget ?on_stall ~maximize (p : F.t Lp_problem.t) =
-    let p =
-      if maximize then
-        { p with Lp_problem.objective = List.map (fun (v, c) -> (v, F.neg c)) p.Lp_problem.objective }
-      else p
-    in
-    let t = build p in
-    if not (fst (phase1 ?pricing ?budget ?on_stall t)) then Infeasible
-    else begin
-      let cost = Array.make (t.ncols + 1) F.zero in
-      List.iter
-        (fun (v, c) -> cost.(v) <- F.add cost.(v) c)
-        p.Lp_problem.objective;
-      (* Canonicalise with respect to the phase-1 basis. *)
-      drive_out_artificials t cost;
-      Array.iteri
-        (fun r b ->
-          if F.sign cost.(b) <> 0 then begin
-            let row = t.rows.(r) in
-            let f = cost.(b) in
-            for j = 0 to t.ncols do
-              cost.(j) <- F.sub cost.(j) (F.mul f row.(j))
-            done
-          end)
-        t.basis;
-      match optimize ?pricing ?budget ?on_stall t cost ~max_col:t.art_start with
-      | `Unbounded -> Unbounded
-      | `Optimal ->
-          let obj = F.neg cost.(t.ncols) in
-          let obj = if maximize then F.neg obj else obj in
-          Optimal (extract t ~objective:obj)
-    end
-
-  let solve ?pricing ?budget ?on_stall ?(maximize = false) (p : F.t Lp_problem.t) =
+  let solve ?pricing ?budget ?on_stall ?maximize ?warm (p : F.t Lp_problem.t) =
     instrumented ~what:"solve" p @@ fun () ->
-    match Engine.get () with
-    | Engine.Dense -> dense_solve ?pricing ?budget ?on_stall ~maximize p
-    | Engine.Sparse -> (
-        match
-          R.solve ?pricing:(Option.map to_rpricing pricing) ?budget ?on_stall
-            ~maximize p
-        with
-        | R.Optimal s -> Optimal (of_rsolution s)
-        | R.Infeasible -> Infeasible
-        | R.Unbounded -> Unbounded)
+    C.solve ?pricing ?budget ?on_stall ?maximize ?warm p
 
   let feasible ?pricing ?budget ?on_stall p =
     match solve ?pricing ?budget ?on_stall { p with Lp_problem.objective = [] } with
@@ -410,117 +756,18 @@ module Make (F : Field.S) = struct
     | Infeasible -> None
     | Unbounded -> assert false
 
-  (* Dense twin of the revised engine's basis descriptor: read the final
-     basis off the tableau (redundant rows were deleted, artificials
-     cannot remain basic at a nonzero level once feasible). *)
-  let dense_feasible_basis ?pricing ?budget ?on_stall (p : F.t Lp_problem.t) =
-    let p = { p with Lp_problem.objective = [] } in
-    let t = build p in
-    if not (fst (phase1 ?pricing ?budget ?on_stall t)) then None
-    else begin
-      let cost = Array.make (t.ncols + 1) F.zero in
-      drive_out_artificials t cost;
-      let aux_owner = Array.make (Stdlib.max 1 t.ncols) (-1) in
-      Array.iteri
-        (fun r info ->
-          (match info.surplus with Some c -> aux_owner.(c) <- r | None -> ());
-          match info.slack with Some c -> aux_owner.(c) <- r | None -> ())
-        t.row_info;
-      let basis =
-        Array.to_list t.basis
-        |> List.filter_map (fun b ->
-               if b < t.nvars then Some (Basis.Var b)
-               else if b < t.art_start then Some (Basis.Aux aux_owner.(b))
-               else None)
-      in
-      Some (extract t ~objective:F.zero, basis)
-    end
-
   let feasible_basis ?pricing ?budget ?on_stall ?warm (p : F.t Lp_problem.t) =
     instrumented ~what:"feasible_basis" p @@ fun () ->
     let warm = match warm with Some [] -> None | w -> w in
-    match Engine.get () with
-    | Engine.Dense ->
-        (* The dense oracle ignores warm hints: it exists to pin down
-           cold behaviour, and its phase 1 always runs in full. *)
-        dense_feasible_basis ?pricing ?budget ?on_stall p
-    | Engine.Sparse -> (
-        let warm =
-          if Engine.presolve_enabled () && F.exact then presolve_hint p warm
-          else warm
-        in
-        match
-          R.feasible_basis ?pricing:(Option.map to_rpricing pricing) ?budget
-            ?on_stall ?warm p
-        with
-        | Some (s, basis) -> Some (of_rsolution s, basis)
-        | None -> None)
+    let warm = if presolve_enabled () && F.exact then presolve_hint p warm else warm in
+    C.feasible_basis ?pricing ?budget ?on_stall ?warm p
 
-  (* Recover the phase-2 dual values from the final reduced-cost row: in
-     phase 2 every auxiliary column has zero original cost, so
-     redcost(aux of row i) = ∓ y_i, with flipped rows negated back. *)
-  let duals_of_phase2 t cost =
-    Array.map
-      (fun info ->
-        let y =
-          match (info.surplus, info.slack, info.art) with
-          | Some col, _, _ -> cost.(col)
-          | _, Some col, _ -> F.neg cost.(col)
-          | _, _, Some col -> F.neg cost.(col)
-          | None, None, None -> assert false
-        in
-        if info.flipped then F.neg y else y)
-      t.row_info
+  let feasible_certified ?pricing ?budget ?on_stall p =
+    instrumented ~what:"feasible_certified" p @@ fun () ->
+    C.feasible_certified ?pricing ?budget ?on_stall p
 
-  type certified = {
-    primal : solution;
-    duals : F.t array;  (** one multiplier per constraint, in order *)
-  }
-
-  type certified_result =
-    | Certified_optimal of certified
-    | Certified_infeasible of F.t array
-    | Certified_unbounded
-
-  (* Like [solve] (minimisation only) but also returning the dual values
-     that certify optimality. *)
-  let dense_solve_certified (p : F.t Lp_problem.t) =
-    let t = build p in
-    let ok, cost1 = phase1 t in
-    if not ok then Certified_infeasible (farkas_of_phase1 t cost1)
-    else begin
-      let cost = Array.make (t.ncols + 1) F.zero in
-      List.iter (fun (v, c) -> cost.(v) <- F.add cost.(v) c) p.Lp_problem.objective;
-      drive_out_artificials t cost;
-      Array.iteri
-        (fun r b ->
-          if F.sign cost.(b) <> 0 then begin
-            let row = t.rows.(r) in
-            let f = cost.(b) in
-            for j = 0 to t.ncols do
-              cost.(j) <- F.sub cost.(j) (F.mul f row.(j))
-            done
-          end)
-        t.basis;
-      match optimize t cost ~max_col:t.art_start with
-      | `Unbounded -> Certified_unbounded
-      | `Optimal ->
-          let obj = F.neg cost.(t.ncols) in
-          Certified_optimal
-            { primal = extract t ~objective:obj; duals = duals_of_phase2 t cost }
-    end
-
-  let solve_certified (p : F.t Lp_problem.t) =
-    instrumented ~what:"solve_certified" p @@ fun () ->
-    match Engine.get () with
-    | Engine.Dense -> dense_solve_certified p
-    | Engine.Sparse -> (
-        match R.solve_certified p with
-        | R.Certified_optimal c ->
-            Certified_optimal
-              { primal = of_rsolution c.R.primal; duals = c.R.duals }
-        | R.Certified_infeasible y -> Certified_infeasible y
-        | R.Certified_unbounded -> Certified_unbounded)
+  let solve_certified p =
+    instrumented ~what:"solve_certified" p @@ fun () -> C.solve_certified p
 
   (* Independent verification of an optimality certificate for the
      minimisation problem: the primal point is feasible, the duals are
@@ -571,30 +818,6 @@ module Make (F : Field.S) = struct
       |> List.fold_left F.add F.zero
     in
     dual_feasible && F.sign (F.sub cx !yb) = 0 && F.sign (F.sub cx c.primal.objective) = 0
-
-  type feasibility = Feasible of solution | Infeasible_certificate of F.t array
-
-  let dense_feasible_certified ?pricing ?budget ?on_stall p =
-    let p = { p with Lp_problem.objective = [] } in
-    let t = build p in
-    let ok, cost = phase1 ?pricing ?budget ?on_stall t in
-    if not ok then Infeasible_certificate (farkas_of_phase1 t cost)
-    else begin
-      drive_out_artificials t cost;
-      Feasible (extract t ~objective:F.zero)
-    end
-
-  let feasible_certified ?pricing ?budget ?on_stall p =
-    instrumented ~what:"feasible_certified" p @@ fun () ->
-    match Engine.get () with
-    | Engine.Dense -> dense_feasible_certified ?pricing ?budget ?on_stall p
-    | Engine.Sparse -> (
-        match
-          R.feasible_certified ?pricing:(Option.map to_rpricing pricing) ?budget
-            ?on_stall p
-        with
-        | R.Feasible s -> Feasible (of_rsolution s)
-        | R.Infeasible_certificate y -> Infeasible_certificate y)
 
   (* Independent verification of a Farkas certificate: y respects the
      row-sense sign conditions, prices every variable column

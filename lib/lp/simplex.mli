@@ -1,4 +1,4 @@
-(** Two-phase primal simplex with Bland's anti-cycling rule.
+(** Two-phase sparse revised simplex: the library's one LP engine.
 
     Functorised over {!Field.S}: with {!Field.Exact} every answer
     (feasible / infeasible / optimal value) is certified by exact rational
@@ -9,14 +9,13 @@
     standard-form polyhedron): the Lenstra–Shmoys–Tardos rounding step
     depends on this to bound the fractional support.
 
-    Since the sparse revised engine landed, this module is the single
-    dispatch point for both LP engines: every public solver entry
-    consults {!Engine} and runs either the dense tableau below (the
-    differential oracle) or {!Revised} (the default).  With
-    {!Field.Exact} the engines follow identical pivot trajectories, so
-    budgets, stalls and certificates behave the same either way. *)
+    The constraint matrix is held as {!Sparse} rows with a product-form
+    eta file for the basis inverse, and a solve can start from a
+    structural {!Basis.t} saved from a similar problem (see
+    {!Make.feasible_basis}).  The differential suite checks results and
+    certificates against a dense tableau kept in [test/dense_oracle.ml]. *)
 
-type budget = Pivot_budget.t = {
+type budget = {
   mutable pivots_left : int;
   total : int;  (** the initial allowance, for consumed-vs-allotted reporting *)
 }
@@ -37,6 +36,15 @@ exception Stall
 (** Raised instead of the silent Bland fallback when a solve is run with
     [~on_stall:`Fail] and Dantzig pricing exceeds the degenerate-pivot
     threshold. *)
+
+val set_presolve : bool -> unit
+
+val presolve_enabled : unit -> bool
+(** Whether exact feasibility solves first guess a basis with a
+    floating-point solve and promote it to exact Q as a warm hint (the
+    guess is always re-verified exactly; a float "infeasible" is never
+    trusted).  Process-wide and off by default; the CLI's
+    [--lp-presolve] enables it. *)
 
 module Make (F : Field.S) : sig
   type solution = {
@@ -59,11 +67,13 @@ module Make (F : Field.S) : sig
     ?budget:budget ->
     ?on_stall:[ `Bland | `Fail ] ->
     ?maximize:bool ->
+    ?warm:Basis.t ->
     F.t Lp_problem.t ->
     result
   (** Minimises the objective by default.  [budget] meters pivots
       (raising {!Pivot_limit} when exhausted); [on_stall] selects the
-      degeneracy response (default [`Bland], the silent rule switch). *)
+      degeneracy response (default [`Bland], the silent rule switch);
+      [warm] proposes a starting basis as in {!feasible_basis}. *)
 
   val feasible :
     ?pricing:pricing ->
@@ -82,15 +92,13 @@ module Make (F : Field.S) : sig
     F.t Lp_problem.t ->
     (solution * Basis.t) option
   (** Like {!feasible}, additionally returning the optimal basis as a
-      structural {!Basis.t} descriptor.  Under the sparse engine a later
-      solve on a similar problem can pass the descriptor back as
-      [?warm]: the proposal is re-factorised and re-verified in the
-      solver's field — accepted hints skip phase 1 entirely, stale or
-      corrupted ones are repaired or rejected (never trusted), so the
-      verdict and solution are unaffected by hint quality.  With
-      [--lp-presolve] (see {!Engine.set_presolve}) an exact-field solve
-      first runs a float revised solve and uses {e its} basis as the
-      hint.  The dense oracle ignores [?warm] and always solves cold. *)
+      structural {!Basis.t} descriptor.  A later solve on a similar
+      problem can pass the descriptor back as [?warm]: the proposal is
+      re-factorised and re-verified in the solver's field — accepted
+      hints skip phase 1 entirely, stale or corrupted ones are repaired
+      or rejected (never trusted), so the verdict is unaffected by hint
+      quality.  With {!presolve_enabled} an exact-field solve first runs
+      a float solve and uses {e its} basis as the hint. *)
 
   type feasibility =
     | Feasible of solution

@@ -9,13 +9,8 @@ module Make (F : Field.S) = struct
     vals : F.t array;  (* length nnz *)
   }
 
-  let nrows m = m.nrows
-  let ncols m = m.ncols
-  let nnz m = m.rptr.(m.nrows)
-
-  (* Build from per-row term lists, summing duplicate column entries
-     (the sparse twin of the dense solver's [densify]) and dropping the
-     sums that vanish under the field's zero test. *)
+  (* Build from per-row term lists, summing duplicate column entries and
+     dropping the sums that vanish under the field's zero test. *)
   let of_rows ~nrows ~ncols rows =
     if Array.length rows <> nrows then invalid_arg "Sparse.of_rows: row count";
     let acc = Hashtbl.create 16 in
@@ -59,13 +54,6 @@ module Make (F : Field.S) = struct
       f m.cidx.(k) m.vals.(k)
     done
 
-  let fold_row m r f init =
-    let acc = ref init in
-    iter_row m r (fun j v -> acc := f !acc j v);
-    !acc
-
-  let row_nnz m r = m.rptr.(r + 1) - m.rptr.(r)
-
   (* Dot product of row [r] with a dense vector. *)
   let dot_row m r (x : F.t array) =
     let acc = ref F.zero in
@@ -75,7 +63,7 @@ module Make (F : Field.S) = struct
   (* Two-pass CSR transpose: counting sort by column, stable within a
      column, so transposed rows come out sorted by (old) row index. *)
   let transpose m =
-    let total = nnz m in
+    let total = m.rptr.(m.nrows) in
     let rptr = Array.make (m.ncols + 1) 0 in
     for k = 0 to total - 1 do
       rptr.(m.cidx.(k) + 1) <- rptr.(m.cidx.(k) + 1) + 1

@@ -1,30 +1,23 @@
 (** Compressed-sparse-row matrices over a simplex {!Field.S}.
 
-    The revised simplex stores the standard-form constraint matrix this
-    way — once row-major (as built from the constraint list) and once
+    {!Simplex} stores the standard-form constraint matrix this way —
+    once row-major (as built from the constraint list) and once
     transposed, so both row sweeps and column extraction are O(nnz of
     the slice).  IP-1/IP-3 relaxations are extremely sparse (each
-    column touches one laminar chain), which is where the revised
-    engine's per-pivot advantage over the dense tableau comes from. *)
+    column touches one laminar chain), so a pivot costs time in the
+    nonzeros rather than in rows × columns. *)
 
 module Make (F : Field.S) : sig
   type t
 
   val of_rows : nrows:int -> ncols:int -> (int * F.t) list array -> t
   (** Build from per-row [(column, coefficient)] lists.  Duplicate
-      column entries are summed (like the dense solver's densify pass)
-      and entries whose sum is zero under [F.is_zero] are dropped.
-      Raises [Invalid_argument] on out-of-range columns. *)
-
-  val nrows : t -> int
-  val ncols : t -> int
-  val nnz : t -> int
+      column entries are summed and entries whose sum is zero under
+      [F.is_zero] are dropped.  Raises [Invalid_argument] on
+      out-of-range columns. *)
 
   val iter_row : t -> int -> (int -> F.t -> unit) -> unit
   (** Iterate one row's [(column, value)] entries in column order. *)
-
-  val fold_row : t -> int -> ('a -> int -> F.t -> 'a) -> 'a -> 'a
-  val row_nnz : t -> int -> int
 
   val dot_row : t -> int -> F.t array -> F.t
   (** Dot product of a row with a dense vector. *)

@@ -1,21 +1,24 @@
-(* Differential suite for the sparse revised simplex (lib/lp/revised.ml)
-   against the dense tableau oracle, plus warm-start soundness, the
-   degenerate/budget pins, and the Hs_check vertex invariant.
+(* Differential suite for the LP engine (Hs_lp.Simplex, a sparse
+   revised simplex) against the dense tableau oracle in
+   dense_oracle.ml, plus warm-start soundness, the degenerate and
+   pivot-budget pins, warm-vs-cold online replay, and the Hs_check
+   vertex invariant.
 
-   The revised engine deliberately mirrors the dense pivot rules, so
-   with exact arithmetic the two must agree not just on feasibility and
-   the optimal objective but on the returned vertex and on the number
-   of pivots consumed from a shared budget. *)
+   The engine and the oracle may pivot along different paths to
+   different optimal vertices, so the differential compares results:
+   the same result kind, the same exact objective, both points basic
+   feasible per Hs_check.Check.lp_vertex, and the engine's own
+   certificates (optimal duals, Farkas witnesses) passing the
+   independent checkers. *)
 
 open Hs_lp
 module Q = Hs_numeric.Q
 module SQ = Simplex.Make (Field.Exact)
-module RQ = Revised.Make (Field.Exact)
-module E = Engine
 module Ilp = Hs_core.Ilp.Make (Field.Exact)
 module Oracle = Hs_workloads.Oracle
 module Shrink = Hs_workloads.Shrink
 module Rng = Hs_workloads.Rng
+module Replay = Hs_online.Replay
 
 let q = Q.of_int
 let qq = Q.of_ints
@@ -30,40 +33,58 @@ let result_tag = function
   | SQ.Infeasible -> "infeasible"
   | SQ.Unbounded -> "unbounded"
 
-(* Run the dispatching entry point under both engines and require the
-   full mirror: same result constructor, same exact objective, same
-   vertex, and both solutions basic feasible per Hs_check.Check.lp_vertex. *)
+let oracle_tag = function
+  | Dense_oracle.Optimal _ -> "optimal"
+  | Dense_oracle.Infeasible -> "infeasible"
+  | Dense_oracle.Unbounded -> "unbounded"
+
+let check_vertex label who p ~x ~basic ~objective =
+  List.iter
+    (fun (it : Hs_check.Verdict.item) ->
+      if not it.ok then
+        Alcotest.failf "%s: %s solution violates %s: %s" label who it.invariant
+          it.detail)
+    (Hs_check.Check.lp_vertex p ~x ~basic ~objective)
+
+(* Solve with the engine and the oracle and require the same result
+   kind and exact objective, with both points basic feasible.  Then
+   re-solve the minimisation form with certificates and check them:
+   the optimal duals with check_optimal, a Farkas witness with
+   check_farkas. *)
 let differential ?(maximize = false) label p =
-  let d = E.with_engine E.Dense (fun () -> SQ.solve ~maximize p) in
-  let s = E.with_engine E.Sparse (fun () -> SQ.solve ~maximize p) in
-  Alcotest.(check string)
-    (label ^ ": result kind")
-    (result_tag d) (result_tag s);
-  match (d, s) with
-  | SQ.Optimal ds, SQ.Optimal ss ->
+  let o = Dense_oracle.solve ~maximize p in
+  let s = SQ.solve ~maximize p in
+  Alcotest.(check string) (label ^ ": result kind") (oracle_tag o) (result_tag s);
+  (match (o, s) with
+  | Dense_oracle.Optimal os, SQ.Optimal ss ->
       Alcotest.(check string)
         (label ^ ": objective")
-        (Q.to_string ds.objective) (Q.to_string ss.objective);
-      Array.iteri
-        (fun v dv ->
-          Alcotest.(check string)
-            (Printf.sprintf "%s: x.(%d)" label v)
-            (Q.to_string dv) (Q.to_string ss.x.(v)))
-        ds.x;
-      Alcotest.(check (array bool))
-        (label ^ ": basic flags")
-        ds.basic ss.basic;
-      List.iter
-        (fun (who, (sol : SQ.solution)) ->
-          List.iter
-            (fun (it : Hs_check.Verdict.item) ->
-              if not it.ok then
-                Alcotest.failf "%s: %s solution violates %s: %s" label who
-                  it.invariant it.detail)
-            (Hs_check.Check.lp_vertex p ~x:sol.x ~basic:sol.basic
-               ~objective:sol.objective))
-        [ ("dense", ds); ("sparse", ss) ]
-  | _ -> ()
+        (Q.to_string os.objective) (Q.to_string ss.objective);
+      check_vertex label "oracle" p ~x:os.x ~basic:os.basic ~objective:os.objective;
+      check_vertex label "engine" p ~x:ss.x ~basic:ss.basic ~objective:ss.objective
+  | _ -> ());
+  let pmin =
+    if maximize then
+      {
+        p with
+        Lp_problem.objective =
+          List.map (fun (v, k) -> (v, Q.neg k)) p.Lp_problem.objective;
+      }
+    else p
+  in
+  match (SQ.solve_certified pmin, s) with
+  | SQ.Certified_optimal cert, SQ.Optimal ss ->
+      Alcotest.(check bool) (label ^ ": optimality certificate") true
+        (SQ.check_optimal pmin cert);
+      Alcotest.(check string)
+        (label ^ ": certified objective")
+        (Q.to_string ss.objective)
+        (Q.to_string
+           (if maximize then Q.neg cert.primal.objective else cert.primal.objective))
+  | SQ.Certified_infeasible y, SQ.Infeasible ->
+      Alcotest.(check bool) (label ^ ": Farkas certificate") true (SQ.check_farkas p y)
+  | SQ.Certified_unbounded, SQ.Unbounded -> ()
+  | _ -> Alcotest.failf "%s: certified solve disagrees with solve" label
 
 (* ---- fixtures carried over from test_simplex.ml ---------------------- *)
 
@@ -130,7 +151,7 @@ let fixtures =
       Lp_problem.make ~nvars:1 [ c [] Le (q 3) ] );
   ]
 
-let test_fixture_mirror () =
+let test_fixture_differential () =
   List.iter (fun (label, maximize, p) -> differential ~maximize label p) fixtures
 
 (* ---- 200+ seeded instances ------------------------------------------- *)
@@ -165,7 +186,7 @@ let seeded_lp seed =
     ~objective:(List.init nvars (fun i -> (i, q 1)))
     constrs
 
-let test_seeded_mirror () =
+let test_seeded_differential () =
   for seed = 0 to 209 do
     differential (Printf.sprintf "seed %d" seed) (seeded_lp seed)
   done
@@ -177,15 +198,15 @@ let feasible_seed seed = seeded_lp ((seed * 7) + 1) (* avoid the seed mod 7 = 0 
 let test_warm_same_objective () =
   for seed = 0 to 24 do
     let p = feasible_seed seed in
-    match RQ.solve p with
-    | RQ.Optimal cold -> (
+    match SQ.solve p with
+    | SQ.Optimal cold -> (
         let basis =
-          match RQ.feasible_basis p with
+          match SQ.feasible_basis p with
           | Some (_, b) -> b
           | None -> Alcotest.failf "seed %d: optimal but not feasible?" seed
         in
-        match RQ.solve ~warm:basis p with
-        | RQ.Optimal warm ->
+        match SQ.solve ~warm:basis p with
+        | SQ.Optimal warm ->
             Alcotest.(check string)
               (Printf.sprintf "seed %d: warm objective" seed)
               (Q.to_string cold.objective)
@@ -197,8 +218,8 @@ let test_warm_same_objective () =
 let test_corrupt_basis_repaired () =
   let p = feasible_seed 3 in
   let cold =
-    match RQ.solve p with
-    | RQ.Optimal s -> s
+    match SQ.solve p with
+    | SQ.Optimal s -> s
     | _ -> Alcotest.fail "expected optimal"
   in
   (* Garbage proposals: out-of-range variables, duplicates, auxiliaries
@@ -208,7 +229,7 @@ let test_corrupt_basis_repaired () =
     [
       [ Basis.Var 0; Basis.Var 0; Basis.Var 9999; Basis.Aux 999; Basis.Aux (-1) ];
       List.init 40 (fun i -> Basis.Var i);
-      (match RQ.feasible_basis (feasible_seed 11) with
+      (match SQ.feasible_basis (feasible_seed 11) with
       | Some (_, b) -> b
       | None -> []);
     ]
@@ -216,8 +237,8 @@ let test_corrupt_basis_repaired () =
   List.iteri
     (fun k proposal ->
       Hs_obs.Metrics.reset ();
-      match RQ.solve ~warm:proposal p with
-      | RQ.Optimal s ->
+      match SQ.solve ~warm:proposal p with
+      | SQ.Optimal s ->
           Alcotest.(check string)
             (Printf.sprintf "corrupt %d: objective unchanged" k)
             (Q.to_string cold.objective)
@@ -273,7 +294,7 @@ let test_warm_search_same_horizon () =
     end
   done
 
-(* ---- degenerate pins and budget parity -------------------------------- *)
+(* ---- degenerate pins and pivot budgets --------------------------------- *)
 
 let beale = List.assoc "degenerate (Beale)" (List.map (fun (l, _, p) -> (l, p)) fixtures)
 
@@ -289,81 +310,73 @@ let fully_degenerate =
       c [ (0, q 1); (1, q 1); (2, q 1) ] Eq (q 0);
     ]
 
-let solve_metered engine p =
-  E.with_engine engine (fun () ->
-      Hs_obs.Metrics.reset ();
-      let r = SQ.solve p in
-      (r, counter "simplex.pivots", counter "simplex.degenerate_pivots"))
-
 let test_degenerate_pins () =
   List.iter
     (fun (label, p, expected) ->
-      let rd, pd, dd = solve_metered E.Dense p in
-      let rs, ps, ds = solve_metered E.Sparse p in
-      (match (rd, rs) with
-      | SQ.Optimal a, SQ.Optimal b ->
-          Alcotest.(check string) (label ^ ": dense objective") expected
-            (Q.to_string a.objective);
-          Alcotest.(check string) (label ^ ": sparse objective") expected
-            (Q.to_string b.objective)
-      | _ -> Alcotest.failf "%s: expected optimal under both engines" label);
-      Alcotest.(check int) (label ^ ": pivot parity") pd ps;
-      Alcotest.(check int) (label ^ ": degenerate-pivot parity") dd ds)
-    [
-      ("Beale", beale, "-1/20");
-      ("fully degenerate", fully_degenerate, "0");
-    ]
-
-let test_bland_fallback_agrees () =
-  (* Forcing Bland from the start must still reach the same optimum as
-     the Dantzig-with-fallback default, under both engines. *)
-  List.iter
-    (fun engine ->
-      E.with_engine engine (fun () ->
-          match (SQ.solve ~pricing:SQ.Bland beale, SQ.solve beale) with
-          | SQ.Optimal a, SQ.Optimal b ->
+      List.iter
+        (fun (rule, pricing) ->
+          match SQ.solve ~pricing p with
+          | SQ.Optimal s ->
               Alcotest.(check string)
-                (E.to_string engine ^ ": Bland = Dantzig objective")
-                (Q.to_string b.objective) (Q.to_string a.objective)
-          | _ -> Alcotest.fail "expected optimal"))
-    [ E.Dense; E.Sparse ]
+                (Printf.sprintf "%s under %s" label rule)
+                expected (Q.to_string s.objective)
+          | _ -> Alcotest.failf "%s under %s: expected optimal" label rule)
+        [ ("Dantzig", SQ.Dantzig); ("Bland", SQ.Bland) ])
+    [ ("Beale", beale, "-1/20"); ("fully degenerate", fully_degenerate, "0") ]
 
-let test_pivot_limit_parity () =
-  (* Both engines must consume pivots identically: the same total on an
-     unmetered run, and Pivot_limit at the same point when metered. *)
+let test_pivot_limit () =
+  (* Every allowance short of the unmetered pivot count runs dry, and
+     the budget records exactly the pivots it allowed. *)
   let p = seeded_lp 42 in
-  let consumed engine =
-    E.with_engine engine (fun () ->
-        let b = Simplex.budget 100_000 in
-        ignore (SQ.solve ~budget:b p);
-        Simplex.consumed b)
+  let full =
+    let b = Simplex.budget 100_000 in
+    ignore (SQ.solve ~budget:b p);
+    Simplex.consumed b
   in
-  let full = consumed E.Dense in
-  Alcotest.(check int) "unmetered consumption identical" full (consumed E.Sparse);
   Alcotest.(check bool) "fixture pivots at least once" true (full > 0);
-  let limited engine k =
-    E.with_engine engine (fun () ->
-        let b = Simplex.budget k in
-        match SQ.solve ~budget:b p with
-        | exception Simplex.Pivot_limit -> (true, Simplex.consumed b)
-        | _ -> (false, Simplex.consumed b))
-  in
-  for k = 1 to Stdlib.min 6 (full - 1) do
-    let rd = limited E.Dense k and rs = limited E.Sparse k in
-    Alcotest.(check (pair bool int))
-      (Printf.sprintf "budget %d: same exhaustion point" k)
-      rd rs;
-    Alcotest.(check bool)
-      (Printf.sprintf "budget %d: limit raised" k)
-      true (fst rd)
+  for k = 0 to full - 1 do
+    let b = Simplex.budget k in
+    match SQ.solve ~budget:b p with
+    | exception Simplex.Pivot_limit ->
+        Alcotest.(check int) (Printf.sprintf "budget %d: consumed" k) k (Simplex.consumed b)
+    | _ -> Alcotest.failf "budget %d: solve finished under %d pivots" k full
   done
+
+(* ---- warm-started online replay --------------------------------------- *)
+
+(* A growth trace (no departures) replayed cold and warm-started: the
+   outcome must be identical and the warm run strictly cheaper. *)
+let test_warm_replay () =
+  let tr =
+    Hs_workloads.Generators.trace ~seed:1301
+      ~lam:(Hs_laminar.Topology.smp_cmp ~nodes:2 ~chips_per_node:2 ~cores_per_chip:2)
+      ~events:24 ~base:(1, 9) ~heterogeneity:1.3 ~overhead:0.2 ~departures:0.0
+      ~max_live:12 ()
+  in
+  let replay ?warm_start () =
+    Hs_obs.Metrics.reset ();
+    match Replay.run ?warm_start tr with
+    | Error e -> Alcotest.failf "replay failed: %s" e
+    | Ok o ->
+        ( List.map (fun st -> Hs_obs.Json.to_string (Replay.step_to_json st)) o.Replay.steps,
+          counter "simplex.pivots",
+          counter "lp.warm_start.hits" )
+  in
+  let cold, cold_pivots, _ = replay ~warm_start:false () in
+  let warm, warm_pivots, hits = replay () in
+  Alcotest.(check (list string)) "steps identical" cold warm;
+  Alcotest.(check bool) "warm hits recorded" true (hits > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "warm pivots %d < cold %d" warm_pivots cold_pivots)
+    true
+    (warm_pivots < cold_pivots)
 
 (* ---- the Hs_check vertex invariant blames corruption ------------------ *)
 
 let test_lp_vertex_blames () =
   let p = List.nth fixtures 0 |> fun (_, _, p) -> p in
   let s =
-    match E.with_engine E.Sparse (fun () -> SQ.solve ~maximize:true p) with
+    match SQ.solve ~maximize:true p with
     | SQ.Optimal s -> s
     | _ -> Alcotest.fail "expected optimal"
   in
@@ -421,14 +434,14 @@ let suite =
   let u name f = Alcotest.test_case name `Quick f in
   ( "revised",
     [
-      u "fixture mirror (dense = sparse)" test_fixture_mirror;
-      u "210 seeded instances mirror" test_seeded_mirror;
+      u "fixtures agree with the dense oracle" test_fixture_differential;
+      u "210 seeded LPs agree with the dense oracle" test_seeded_differential;
       u "warm solve = cold objective" test_warm_same_objective;
       u "corrupted bases repaired, never trusted" test_corrupt_basis_repaired;
       u "warm store round trip (0-pivot re-solve)" test_warm_store_round_trip;
       u "warm binary search = cold T* (shrinking)" test_warm_search_same_horizon;
-      u "degenerate pins (pivot parity)" test_degenerate_pins;
-      u "Bland fallback agrees" test_bland_fallback_agrees;
-      u "Pivot_limit parity" test_pivot_limit_parity;
+      u "degenerate pins under Dantzig and Bland" test_degenerate_pins;
+      u "Pivot_limit at every short allowance" test_pivot_limit;
+      u "warm replay = cold steps, fewer pivots" test_warm_replay;
       u "lp_vertex blames corruption" test_lp_vertex_blames;
     ] )
