@@ -678,11 +678,14 @@ let run_lp ~quick () =
   in
   let scaling_row (n, m, row_allowance) =
     let inst = instance ~n ~m in
-    match I.t_bounds inst with
+    match Instance.total_min_volume inst with
     | None -> None
-    | Some (_, hi) ->
-        (* Solve at the certified upper bound: always feasible, so every
-           case does the same full phase-1 work. *)
+    | Some hi ->
+        (* Solve at the total minimum volume, a horizon that is always
+           feasible, so every case does the same full phase-1 work.  Not
+           the search's own upper end ([t_bounds], tightened by the greedy
+           makespan): the ladder's horizons stay comparable across
+           revisions. *)
         let exact () =
           I.lp_feasible_x ~pivots:(Hs_lp.Simplex.budget row_allowance) inst ~tmax:hi
           <> None

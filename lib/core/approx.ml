@@ -29,17 +29,7 @@ module Make (F : Hs_lp.Field.S) = struct
 
   (** The unrelated-machines restriction [I_u] of a singleton-closed
       instance: keep only the singleton masks (Section V). *)
-  let unrelated_restriction closed =
-    let lam = Instance.laminar closed in
-    let m = Hs_laminar.Laminar.m lam in
-    let times =
-      Array.init (Instance.njobs closed) (fun j ->
-          Array.init m (fun i ->
-              match Hs_laminar.Laminar.singleton lam i with
-              | Some s -> Instance.ptime closed ~job:j ~set:s
-              | None -> Ptime.Inf))
-    in
-    Instance.unrelated times
+  let unrelated_restriction closed = Instance.unrelated (Instance.singleton_times closed)
 
   type outcome = {
     instance : Instance.t;  (** the singleton-closed instance solved *)

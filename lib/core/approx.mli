@@ -6,7 +6,15 @@
     LP-feasible horizon [T*] (a certified lower bound on OPT) → re-solve
     the unrelated-machines restriction at [T*] to a basic solution
     (feasible by Lemma V.1) → Lenstra–Shmoys–Tardos rounding →
-    Algorithms 2–3.  The achieved makespan is at most [2·T* ≤ 2·OPT]. *)
+    Algorithms 2–3.  The achieved makespan is at most [2·T* ≤ 2·OPT].
+
+    The search brackets [T*] between [max_j min_α p] and the makespan
+    of the greedy partitioned list schedule on the singleton masks, the
+    same restriction [I_u] this pipeline rounds on.  That schedule is an
+    integral assignment, so the relaxation is feasible at its makespan
+    and the bracket is sound ({!Ilp.Make.t_bounds}).  On a closed
+    instance every job has a finite singleton time, so the greedy
+    always applies. *)
 
 open Hs_model
 
@@ -22,8 +30,15 @@ module Make (F : Hs_lp.Field.S) : sig
     val warm_store : unit -> warm_store
     val warm_saved : warm_store -> int
     val lp_feasible : Instance.t -> tmax:int -> frac option
+
     val t_bounds : Instance.t -> (int * int) option
+    (** {!Ilp.Make.t_bounds}: [max_j min_α p] up to the smaller of
+        [Σ_j min_α p] and the greedy partitioned makespan, a horizon at
+        which the relaxation is feasible. *)
+
     val min_feasible_t : Instance.t -> (int * frac) option
+    (** {!Ilp.Make.min_feasible_t}: bisection over {!t_bounds}, the
+        same [T*] and vertex as bisecting up to [Σ_j min_α p]. *)
   end
 
   module R : sig

@@ -224,9 +224,12 @@ module Make (F : Hs_lp.Field.S) = struct
 
   (** Search bounds for the minimal feasible horizon: the max of the
       per-job minimum processing times is a certain lower bound (below it
-      some job has no admissible mask), and the total minimum volume is a
-      feasible upper bound. Returns [None] when some job has no finite
-      mask at all. *)
+      some job has no admissible mask).  The upper bound is the total
+      minimum volume, lowered to the makespan of the greedy list
+      schedule on the singleton masks when every job has a finite
+      singleton time: that integral assignment satisfies the relaxation
+      at its own makespan (the argument is in ilp.mli).  Returns [None]
+      when some job has no finite mask at all. *)
   let t_bounds inst =
     let n = Instance.njobs inst in
     let rec go j lo hi =
@@ -236,7 +239,12 @@ module Make (F : Hs_lp.Field.S) = struct
         | None -> None
         | Some v -> go (j + 1) (Stdlib.max lo v) (hi + v)
     in
-    go 0 0 0
+    Option.map
+      (fun (lo, hi) ->
+        match Partitioned.greedy_unrelated (Instance.singleton_times inst) with
+        | Some (_, makespan) -> (lo, Stdlib.min hi makespan)
+        | None -> (lo, hi))
+      (go 0 0 0)
 
   (** Certified infeasibility of the relaxation at a horizon: either some
       job has no admissible mask at all (trivially infeasible), or the

@@ -59,14 +59,34 @@ module Make (F : Hs_lp.Field.S) : sig
       byte-identical to it). *)
 
   val t_bounds : Instance.t -> (int * int) option
-  (** Certified search bounds for the minimal feasible horizon
-      [(max_j min_α p, Σ_j min_α p)]; [None] when some job has no finite
-      mask. *)
+  (** Certified search bounds [(lo, hi)] for the minimal feasible
+      horizon; [None] when some job has no finite mask.
+
+      - [lo = max_j min_α p]: below it some job has no admissible mask.
+      - [hi = min (Σ_j min_α p, g)], where [g] is the makespan of
+        {!Hs_model.Partitioned.greedy_unrelated} on
+        {!Hs_model.Instance.singleton_times}.  When some job has no
+        finite singleton time the greedy fails and [hi = Σ_j min_α p].
+
+      Why the relaxation is feasible at [g]: the greedy puts each job
+      [j] on a singleton [{i}] with [p_{{i},j} ≤ load_i].  At [T = g =
+      max_i load_i], every pair it uses is in [R(T)] and every
+      assignment row holds with that pair at 1.  Only singletons carry
+      volume, so the capacity row of a set [α] reads
+      [Σ_{i∈α} load_i ≤ card(α)·T].  The volume bound [Σ_j min_α p] is
+      feasible by the same argument applied to any job-by-job
+      placement on a minimal mask. *)
 
   val min_feasible_t : Instance.t -> (int * frac) option
-  (** Binary search of Section V: the minimal integer horizon whose LP
-      relaxation is feasible (a lower bound on the integral optimum),
-      with a basic solution at that horizon. *)
+  (** Binary search of Section V over {!t_bounds}: the minimal integer
+      horizon whose LP relaxation is feasible (a lower bound on the
+      integral optimum), with a basic solution at that horizon.
+
+      LP feasibility is monotone in [T] ([R(T)] and every capacity
+      grow with [T]), so bisecting below any feasible [hi] returns the
+      same [T*] as bisecting below [Σ_j min_α p].  The solution is that
+      of the last feasible probe, a cold solve at [T*], so it is the
+      same vertex too. *)
 
   val min_feasible_t_x :
     ?pricing:Solver.pricing ->

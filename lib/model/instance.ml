@@ -135,6 +135,15 @@ let with_singletons t =
   in
   (make_exn lam' p', translate)
 
+(** Processing times on the singleton masks: [times.(j).(i)] is
+    [P_j({i})], or ∞ when the family has no singleton [{i}]. *)
+let singleton_times t =
+  Array.map
+    (fun row ->
+      Array.init (nmachines t) (fun i ->
+          match Laminar.singleton t.laminar i with Some s -> row.(s) | None -> Ptime.Inf))
+    t.p
+
 (** Minimum finite processing time of a job over the whole family. *)
 let min_ptime t job = Array.fold_left Ptime.min Ptime.Inf t.p.(job)
 

@@ -46,6 +46,10 @@ val with_singletons : t -> t * (int -> int option)
 
 (** {1 Aggregates} *)
 
+val singleton_times : t -> Ptime.t array array
+(** [times.(job).(machine)]: [P_j({i})] on the singleton mask of each
+    machine, or ∞ when the family has no singleton [{i}]. *)
+
 val min_ptime : t -> int -> Ptime.t
 (** Minimum processing time of a job over the whole family. *)
 

@@ -4,8 +4,6 @@
     paper's semi-partitioned and hierarchical models are designed to
     beat whenever single-machine capacity is the bottleneck. *)
 
-open Hs_model
-
 (** Greedy earliest-completion list scheduling for unrelated machines:
     jobs in decreasing order of their minimum processing time, each
     placed on the machine where it finishes earliest.  Returns

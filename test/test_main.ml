@@ -12,6 +12,7 @@ let () =
       Test_io.suite;
       Test_schedulers.suite;
       Test_pipeline.suite;
+      Test_search_diff.suite;
       Test_exact.suite;
       Test_memory.suite;
       Test_baselines.suite;

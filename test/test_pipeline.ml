@@ -29,7 +29,10 @@ let test_t_bounds () =
   (match I.t_bounds inst with
   | Some (lo, hi) ->
       Alcotest.(check int) "lo = max min p" 2 lo;
-      Alcotest.(check int) "hi = total min volume" 4 hi
+      (* The greedy partitioned schedule is optimal here, at 3; the
+         total min volume is 4. *)
+      Alcotest.(check int) "hi = greedy partitioned makespan"
+        Families.example_ii1_unrelated_opt hi
   | None -> Alcotest.fail "bounds expected");
   let dead = Instance.unrelated [| [| Ptime.Inf |] |] in
   Alcotest.(check bool) "unschedulable job detected" true (I.t_bounds dead = None);
