@@ -613,17 +613,13 @@ let run_online ~quick ~jobs () =
 
 (* Solver-scaling study of the simplex engine (DESIGN.md §16): a size
    ladder of single LP-feasibility solves timed in the float field, in
-   exact arithmetic, and exact with the float pre-solve; cold-vs-warm
-   pivot counts for the Theorem V.2 binary search (one warm store shared
-   by its probes); and the growth-family online replay solved cold and
-   warm-started.  Exact arithmetic is capped to the sizes it can carry —
-   the top of the ladder (10k jobs / 1k machines in the full run) is
-   float-field only, with a pivot allowance so the run always
-   terminates.  Writes BENCH_lp.json; exits non-zero if the warm growth
-   replay fails to use strictly fewer pivots than the cold one or
-   diverges from it. *)
+   exact arithmetic, and exact with the float pre-solve.  Exact
+   arithmetic is capped to the sizes it can carry — the top of the
+   ladder (10k jobs / 1k machines in the full run) is float-field only,
+   with a pivot allowance so the run always terminates.  Writes
+   BENCH_lp.json. *)
 let run_lp ~quick () =
-  print_endline "\n== LP engine: float vs exact vs presolve, cold vs warm (Hs_lp) ==";
+  print_endline "\n== LP engine: float vs exact vs presolve (Hs_lp) ==";
   let module I = Hs_core.Ilp.Make (Hs_lp.Field.Exact) in
   let module IF = Hs_core.Ilp.Make (Hs_lp.Field.Float) in
   let counter snap name =
@@ -643,7 +639,7 @@ let run_lp ~quick () =
     Hs_workloads.Generators.hierarchical rng ~lam:(T.semi_partitioned m) ~n
       ~base:(2, 15) ~heterogeneity:1.6 ~overhead:0.2 ()
   in
-  (* -- section 1: one feasibility solve per case across the ladder -- *)
+  (* One feasibility solve per case across the ladder. *)
   let allowance = 2_000_000 in
   (* (n, m, pivot allowance).  The 10k/1k row exists to measure how far
      a bounded pivot allowance gets at that scale — a full float solve
@@ -729,111 +725,6 @@ let run_lp ~quick () =
              ])
   in
   let scaling = List.filter_map scaling_row ladder in
-  (* -- section 2: the binary search, cold vs warm-started probes -- *)
-  let search_sizes = if quick then [ (12, 4); (24, 8) ] else [ (30, 8); (100, 32) ] in
-  let search_row (n, m) =
-    let inst = instance ~n ~m in
-    let solve warm () =
-      match
-        (if warm then
-           Hs_core.Approx.Exact.solve_checked
-             ~warm:(Hs_core.Approx.Exact.I.warm_store ())
-             inst
-         else Hs_core.Approx.Exact.solve_checked inst)
-      with
-      | Ok o -> o.Hs_core.Approx.Exact.t_lp
-      | Error e -> failwith ("bench lp: " ^ Hs_core.Hs_error.to_string e)
-    in
-    let t_cold, wall_cold, snap_cold = measure (solve false) in
-    let t_warm, wall_warm, snap_warm = measure (solve true) in
-    if t_cold <> t_warm then
-      failwith
-        (Printf.sprintf "bench lp: warm binary search changed T* (%d vs %d)" t_cold
-           t_warm);
-    let pc = counter snap_cold "simplex.pivots"
-    and pw = counter snap_warm "simplex.pivots" in
-    Printf.printf
-      "search n=%-4d m=%-3d T*=%-4d pivots cold=%-6d warm=%-6d hits=%d repairs=%d\n%!"
-      n m t_cold pc pw
-      (counter snap_warm "lp.warm_start.hits")
-      (counter snap_warm "lp.warm_start.repairs");
-    Hs_obs.Json.Obj
-      [
-        ("n", Hs_obs.Json.Int n);
-        ("m", Hs_obs.Json.Int m);
-        ("t_lp", Hs_obs.Json.Int t_cold);
-        ( "cold",
-          Hs_obs.Json.Obj
-            [ ("pivots", Hs_obs.Json.Int pc); ("wall_s", Hs_obs.Json.Float wall_cold) ]
-        );
-        ( "warm",
-          Hs_obs.Json.Obj
-            [
-              ("pivots", Hs_obs.Json.Int pw);
-              ("wall_s", Hs_obs.Json.Float wall_warm);
-              ("hits", Hs_obs.Json.Int (counter snap_warm "lp.warm_start.hits"));
-              ("misses", Hs_obs.Json.Int (counter snap_warm "lp.warm_start.misses"));
-              ("repairs", Hs_obs.Json.Int (counter snap_warm "lp.warm_start.repairs"));
-            ] );
-      ]
-  in
-  let searches = List.map search_row search_sizes in
-  (* -- section 3: the growth family replayed cold and warm-started -- *)
-  let nevents = if quick then 60 else 500 in
-  let tr =
-    Hs_workloads.Generators.trace ~seed:1301
-      ~lam:(T.smp_cmp ~nodes:2 ~chips_per_node:2 ~cores_per_chip:2) ~events:nevents
-      ~base:(1, 9) ~heterogeneity:1.3 ~overhead:0.2 ~departures:0.0 ~max_live:12 ()
-  in
-  let module Replay = Hs_online.Replay in
-  let replay warm_start () =
-    match Replay.run ~warm_start tr with
-    | Error e -> failwith ("bench lp: growth replay: " ^ e)
-    | Ok o -> o
-  in
-  let ocold, wall_cold, snap_cold = measure (replay false) in
-  let owarm, wall_warm, snap_warm = measure (replay true) in
-  let pc = counter snap_cold "simplex.pivots"
-  and pw = counter snap_warm "simplex.pivots" in
-  let identical =
-    List.length ocold.Replay.steps = List.length owarm.Replay.steps
-    && List.for_all2
-         (fun (a : Replay.step) (b : Replay.step) -> a.makespan = b.makespan)
-         ocold.Replay.steps owarm.Replay.steps
-  in
-  Printf.printf
-    "growth  events=%-4d pivots cold=%-7d warm=%-7d saved=%4.1f%% hits=%d \
-     misses=%d repairs=%d schedules=%s\n\
-     %!"
-    nevents pc pw
-    (100. *. float_of_int (pc - pw) /. Float.max 1. (float_of_int pc))
-    (counter snap_warm "lp.warm_start.hits")
-    (counter snap_warm "lp.warm_start.misses")
-    (counter snap_warm "lp.warm_start.repairs")
-    (if identical then "identical" else "DIFFER");
-  let online =
-    Hs_obs.Json.Obj
-      [
-        ("events", Hs_obs.Json.Int nevents);
-        ( "cold",
-          Hs_obs.Json.Obj
-            [ ("pivots", Hs_obs.Json.Int pc); ("wall_s", Hs_obs.Json.Float wall_cold) ]
-        );
-        ( "warm",
-          Hs_obs.Json.Obj
-            [
-              ("pivots", Hs_obs.Json.Int pw);
-              ("wall_s", Hs_obs.Json.Float wall_warm);
-              ("hits", Hs_obs.Json.Int (counter snap_warm "lp.warm_start.hits"));
-              ("misses", Hs_obs.Json.Int (counter snap_warm "lp.warm_start.misses"));
-              ("repairs", Hs_obs.Json.Int (counter snap_warm "lp.warm_start.repairs"));
-            ] );
-        ("schedules_identical", Hs_obs.Json.Bool identical);
-        ( "pivots_saved_pct",
-          Hs_obs.Json.Float
-            (100. *. float_of_int (pc - pw) /. Float.max 1. (float_of_int pc)) );
-      ]
-  in
   let doc =
     Hs_obs.Json.Obj
       [
@@ -841,26 +732,13 @@ let run_lp ~quick () =
         ("quick", Hs_obs.Json.Bool quick);
         ("pivot_allowance", Hs_obs.Json.Int allowance);
         ("scaling", Hs_obs.Json.List scaling);
-        ("warm_binary_search", Hs_obs.Json.List searches);
-        ("online_growth", online);
       ]
   in
   let oc = open_out "BENCH_lp.json" in
   output_string oc (Hs_obs.Json.to_string doc);
   output_char oc '\n';
   close_out oc;
-  print_endline "wrote BENCH_lp.json";
-  if not identical then begin
-    prerr_endline "lp bench FAILED: warm growth replay diverged from the cold one";
-    exit 1
-  end;
-  if pw >= pc then begin
-    Printf.eprintf
-      "lp bench FAILED: warm growth replay used %d pivots, cold used %d — warm \
-       must be strictly cheaper\n"
-      pw pc;
-    exit 1
-  end
+  print_endline "wrote BENCH_lp.json"
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in

@@ -24,7 +24,7 @@ let reduce inst =
             | Some s -> Instance.ptime inst ~job:j ~set:s
             | None -> Ptime.Inf))
   in
-  Instance.unrelated times
+  Instance.unrelated ~m times
 
 (** Optimal makespan of the reduced instance on small inputs; [None] when
     infeasible. *)

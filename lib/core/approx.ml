@@ -29,7 +29,8 @@ module Make (F : Hs_lp.Field.S) = struct
 
   (** The unrelated-machines restriction [I_u] of a singleton-closed
       instance: keep only the singleton masks (Section V). *)
-  let unrelated_restriction closed = Instance.unrelated (Instance.singleton_times closed)
+  let unrelated_restriction closed =
+    Instance.unrelated ~m:(Instance.nmachines closed) (Instance.singleton_times closed)
 
   type outcome = {
     instance : Instance.t;  (** the singleton-closed instance solved *)
@@ -46,21 +47,14 @@ module Make (F : Hs_lp.Field.S) = struct
       failure (infeasibility, budget exhaustion, LP stall, broken
       invariant); [trip] is the fault-injection hook, fired on entry to
       each stage. *)
-  let solve_x ?pricing ?pivots ?(on_stall = `Bland) ?warm ?iters
+  let solve_x ?pricing ?pivots ?(on_stall = `Bland) ?iters
       ?(trip = fun (_ : Hs_error.stage) -> ()) inst : outcome =
     Hs_obs.Tracer.with_span ~cat:"pipeline"
       ~args:[ ("jobs", Hs_obs.Tracer.Int (Instance.njobs inst)) ]
       "pipeline.solve"
     @@ fun () ->
     let closed, translate = Instance.with_singletons inst in
-    (* Only the binary-search probes share the warm store: they solve the
-       same relaxation at drifting horizons, which is exactly what the
-       basis hints survive.  The unrelated-machines re-solve below is a
-       different LP and stays cold, so the pipeline's outcome is
-       warm-independent (the probes' verdicts don't depend on their
-       starting basis, and the discarded [_frac] is the only thing warm
-       starting could change). *)
-    match I.min_feasible_t_x ?pricing ?pivots ~on_stall ?warm ?iters ~trip closed with
+    match I.min_feasible_t_x ?pricing ?pivots ~on_stall ?iters ~trip closed with
     | None ->
         Hs_error.raise_
           (Infeasible
@@ -100,8 +94,8 @@ module Make (F : Hs_lp.Field.S) = struct
                       ];
                     { instance = closed; translate; assignment; t_lp; makespan; schedule; rounding })))
 
-  let solve_checked ?warm inst : (outcome, Hs_error.t) result =
-    Hs_error.guard (fun () -> solve_x ?warm inst)
+  let solve_checked inst : (outcome, Hs_error.t) result =
+    Hs_error.guard (fun () -> solve_x inst)
 
   let solve inst : (outcome, string) result =
     Result.map_error Hs_error.to_string (solve_checked inst)

@@ -22,13 +22,6 @@ module Make (F : Hs_lp.Field.S) : sig
   module I : sig
     type frac = F.t array array
 
-    type warm_store
-    (** Warm-start hint bag (see {!Ilp.Make.warm_store}): threading one
-        store through successive solves makes each LP probe start from
-        the previous optimal basis. *)
-
-    val warm_store : unit -> warm_store
-    val warm_saved : warm_store -> int
     val lp_feasible : Instance.t -> tmax:int -> frac option
 
     val t_bounds : Instance.t -> (int * int) option
@@ -62,14 +55,11 @@ module Make (F : Hs_lp.Field.S) : sig
 
   val solve : Instance.t -> (outcome, string) result
 
-  val solve_checked :
-    ?warm:I.warm_store -> Instance.t -> (outcome, Hs_error.t) result
+  val solve_checked : Instance.t -> (outcome, Hs_error.t) result
   (** Same pipeline with the typed error preserved, so callers can
-      distinguish infeasibility from internal failures.  [warm] threads
-      a basis store through the binary-search probes (used by the online
-      replayer, where successive events solve near-identical LPs); the
-      outcome is identical with or without it — only pivot counts
-      change.  Omitted, every solve is cold. *)
+      distinguish infeasibility from internal failures.  No basis is
+      carried between calls: every LP solve starts cold, or from the
+      float pre-solve's guess under {!Hs_lp.Simplex.set_presolve}. *)
 end
 
 module Exact : module type of Make (Hs_lp.Field.Exact)

@@ -92,75 +92,13 @@ module Make (F : Hs_lp.Field.S) = struct
           var_of )
     end
 
-  (** Warm-start bookkeeping.  A basis returned by one LP probe is
-      remembered under {e semantic} keys — a decision variable is its
-      [(set, job)] pair, an auxiliary row is the job of its assignment
-      constraint or the set of its capacity constraint — so the hint
-      survives re-probing at a different horizon (where the variable
-      numbering shifts with the restricted pair set) and event-to-event
-      drift in a replay.  Keys that no longer translate are simply
-      dropped: the solver repairs or rejects imperfect proposals, so a
-      stale store costs pivots, never correctness. *)
-  type warm_key = Wvar of int * int | Wassign of int | Wcap of int
-
-  type warm_store = { mutable saved : warm_key list }
-
-  let warm_store () = { saved = [] }
-  let warm_saved store = List.length store.saved
-
-  (* Capacity rows are emitted in [Laminar.bottom_up] order after the
-     [n] assignment rows; translate row index ↔ set through it. *)
-  let keys_of_basis inst (var_of : int array array) (basis : Hs_lp.Basis.t) =
-    let lam = Instance.laminar inst in
-    let n = Instance.njobs inst in
-    let nsets = Laminar.size lam in
-    let pairs = Hashtbl.create 64 in
-    for s = 0 to nsets - 1 do
-      for j = 0 to n - 1 do
-        if var_of.(s).(j) >= 0 then Hashtbl.replace pairs var_of.(s).(j) (s, j)
-      done
-    done;
-    let caps = Array.of_list (Laminar.bottom_up lam) in
-    List.filter_map
-      (function
-        | Hs_lp.Basis.Var v ->
-            Option.map (fun (s, j) -> Wvar (s, j)) (Hashtbl.find_opt pairs v)
-        | Hs_lp.Basis.Aux i ->
-            if i < n then Some (Wassign i)
-            else
-              let k = i - n in
-              if k < Array.length caps then Some (Wcap caps.(k)) else None)
-      basis
-
-  let basis_of_keys inst (var_of : int array array) keys : Hs_lp.Basis.t =
-    let lam = Instance.laminar inst in
-    let n = Instance.njobs inst in
-    let nsets = Laminar.size lam in
-    let cap_row = Array.make (Stdlib.max 1 nsets) (-1) in
-    List.iteri
-      (fun k alpha -> if alpha < nsets then cap_row.(alpha) <- n + k)
-      (Laminar.bottom_up lam);
-    List.filter_map
-      (function
-        | Wvar (s, j) ->
-            if s >= 0 && s < nsets && j >= 0 && j < n && var_of.(s).(j) >= 0 then
-              Some (Hs_lp.Basis.Var var_of.(s).(j))
-            else None
-        | Wassign j -> if j >= 0 && j < n then Some (Hs_lp.Basis.Aux j) else None
-        | Wcap alpha ->
-            if alpha >= 0 && alpha < nsets && cap_row.(alpha) >= 0 then
-              Some (Hs_lp.Basis.Aux cap_row.(alpha))
-            else None)
-      keys
-
-  (** Budget-aware LP feasibility of (IP-3) at horizon [tmax].  Raises
-      {!Hs_error.Error} on pivot-budget exhaustion or (under
-      [~on_stall:`Fail]) on a Dantzig pricing stall; [trip] is the
-      fault-injection hook, called on entry with {!Hs_error.Lp}.  With
-      [?warm] the solve is attempted from the store's saved basis and the
-      store is updated with the optimal basis of every feasible solve;
-      without it the cold path is untouched. *)
-  let lp_feasible_x ?pricing ?pivots ?(on_stall = `Bland) ?warm
+  (** Budget-aware LP feasibility of (IP-3) at horizon [tmax]: one cold
+      {!Solver.feasible_basis} solve (under [--lp-presolve] the solver
+      proposes its own float-guessed basis).  Raises {!Hs_error.Error}
+      on pivot-budget exhaustion or (under [~on_stall:`Fail]) on a
+      Dantzig pricing stall; [trip] is the fault-injection hook, called
+      on entry with {!Hs_error.Lp}. *)
+  let lp_feasible_x ?pricing ?pivots ?(on_stall = `Bland)
       ?(trip = fun (_ : Hs_error.stage) -> ()) inst ~tmax : frac option =
     trip Hs_error.Lp;
     Hs_obs.Metrics.incr Obs.lp_solves;
@@ -170,29 +108,7 @@ module Make (F : Hs_lp.Field.S) = struct
     | None -> None
     | Some (lp, var_of) -> (
         let sol =
-          try
-            match warm with
-            | None when not (Hs_lp.Simplex.presolve_enabled ()) ->
-                Solver.feasible ?pricing ?budget:pivots ~on_stall lp
-            | _ ->
-                (* Warm store and/or float pre-solve: go through the
-                   basis-returning entry (same pivot charges as the cold
-                   path when the hint is rejected or absent). *)
-                let hint =
-                  match warm with
-                  | None -> []
-                  | Some store -> basis_of_keys inst var_of store.saved
-                in
-                (match
-                   Solver.feasible_basis ?pricing ?budget:pivots ~on_stall
-                     ~warm:hint lp
-                 with
-                | Some (sol, basis) ->
-                    (match warm with
-                    | Some store -> store.saved <- keys_of_basis inst var_of basis
-                    | None -> ());
-                    Some sol
-                | None -> None)
+          try Option.map fst (Solver.feasible_basis ?pricing ?budget:pivots ~on_stall lp)
           with
           | Hs_lp.Simplex.Pivot_limit ->
               Hs_error.raise_
@@ -263,7 +179,7 @@ module Make (F : Hs_lp.Field.S) = struct
       Each probe charges one search iteration (raising on exhaustion) and
       fires the [trip] hook with {!Hs_error.Search}; the pivot budget and
       stall policy are threaded into every probe's LP solve. *)
-  let min_feasible_t_x ?pricing ?pivots ?on_stall ?warm ?iters
+  let min_feasible_t_x ?pricing ?pivots ?on_stall ?iters
       ?(trip = fun (_ : Hs_error.stage) -> ()) inst : (int * frac) option =
     let charge_iter () =
       match iters with
@@ -295,7 +211,7 @@ module Make (F : Hs_lp.Field.S) = struct
                 ~args:[ ("T", Hs_obs.Tracer.Int mid) ]
                 "search.probe"
                 (fun () ->
-                  let r = lp_feasible_x ?pricing ?pivots ?on_stall ?warm ~trip inst ~tmax:mid in
+                  let r = lp_feasible_x ?pricing ?pivots ?on_stall ~trip inst ~tmax:mid in
                   Hs_obs.Tracer.add_args
                     [ ("feasible", Hs_obs.Tracer.Bool (Option.is_some r)) ];
                   r)

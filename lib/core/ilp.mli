@@ -26,26 +26,10 @@ module Make (F : Hs_lp.Field.S) : sig
   val lp_feasible : Instance.t -> tmax:int -> frac option
   (** A {e basic} fractional solution at horizon [tmax], or [None]. *)
 
-  type warm_store
-  (** A mutable bag of warm-start hints: the optimal basis of the last
-      feasible LP solve, keyed semantically ([(set, job)] pairs and
-      constraint identities rather than raw column numbers) so it stays
-      meaningful across horizons and across events of a replay.  Sharing
-      one store across solves makes each solve start from the previous
-      optimum; hints that no longer apply are repaired or rejected by
-      the solver, so results never depend on the store's contents. *)
-
-  val warm_store : unit -> warm_store
-  (** A fresh, empty store (first solve through it runs cold). *)
-
-  val warm_saved : warm_store -> int
-  (** Number of basis entries currently remembered (diagnostics). *)
-
   val lp_feasible_x :
     ?pricing:Solver.pricing ->
     ?pivots:Hs_lp.Simplex.budget ->
     ?on_stall:[ `Bland | `Fail ] ->
-    ?warm:warm_store ->
     ?trip:(Hs_error.stage -> unit) ->
     Instance.t ->
     tmax:int ->
@@ -53,10 +37,10 @@ module Make (F : Hs_lp.Field.S) : sig
   (** Budget-aware {!lp_feasible}: raises {!Hs_error.Error} with
       [Budget_exhausted] when the shared pivot allowance runs out, or
       [Lp_stall] under [~on_stall:`Fail].  [trip] is the fault-injection
-      hook, fired on entry with {!Hs_error.Lp}.  [warm] warm-starts the
-      solve from the store and saves the resulting basis back into it;
-      omitted, the solve is cold (the historical behaviour, and
-      byte-identical to it). *)
+      hook, fired on entry with {!Hs_error.Lp}.  Every call is one cold
+      {!Hs_lp.Simplex.Make.feasible_basis} solve; the only basis it is
+      ever proposed is the solver's own float guess under
+      {!Hs_lp.Simplex.set_presolve}. *)
 
   val t_bounds : Instance.t -> (int * int) option
   (** Certified search bounds [(lo, hi)] for the minimal feasible
@@ -85,23 +69,21 @@ module Make (F : Hs_lp.Field.S) : sig
       LP feasibility is monotone in [T] ([R(T)] and every capacity
       grow with [T]), so bisecting below any feasible [hi] returns the
       same [T*] as bisecting below [Σ_j min_α p].  The solution is that
-      of the last feasible probe, a cold solve at [T*], so it is the
-      same vertex too. *)
+      of the last feasible probe, a cold solve at [T*] (every probe is
+      cold), so it is the same vertex too. *)
 
   val min_feasible_t_x :
     ?pricing:Solver.pricing ->
     ?pivots:Hs_lp.Simplex.budget ->
     ?on_stall:[ `Bland | `Fail ] ->
-    ?warm:warm_store ->
     ?iters:Budget.counted ->
     ?trip:(Hs_error.stage -> unit) ->
     Instance.t ->
     (int * frac) option
   (** Budget-aware {!min_feasible_t}: every probe charges one iteration
       from [iters] and fires [trip] with {!Hs_error.Search} before
-      delegating to {!lp_feasible_x} with the shared pivot budget (and
-      [warm] store, so successive probes of the search warm-start from
-      each other).  Raises {!Hs_error.Error} on exhaustion or stall. *)
+      delegating to {!lp_feasible_x} with the shared pivot budget.
+      Raises {!Hs_error.Error} on exhaustion or stall. *)
 
   val certified_infeasible : Instance.t -> tmax:int -> bool
   (** [true] iff the relaxation at [tmax] is infeasible {e and} the

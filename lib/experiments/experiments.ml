@@ -321,7 +321,7 @@ let f2 ?(quick = false) ?(jobs = 1) () =
             local
         in
         let semi = Instance.semi_partitioned ~global ~local in
-        let unrel = Instance.unrelated local in
+        let unrel = Instance.unrelated ~m local in
         match (Exact.optimal semi, Exact.optimal unrel, Approx.Exact.solve semi) with
         | Some (_, semi_opt, s1), Some (_, part_opt, s2), Ok o when s1.proven && s2.proven ->
             (* "global-only" policy: every flexible job migrates freely

@@ -18,12 +18,13 @@
    reduced-cost sweep over the sparse columns, and one FTRAN (the
    entering direction), all O(nnz)-ish.
 
-   Basis lifecycle: a solve can start from a structural {!Basis.t}
-   descriptor saved from a previous (similar) problem.  The proposed
-   columns are re-factorised from scratch; dependent or vanished entries
-   are dropped, missing slots filled with unit columns, and columns
-   basic at a negative value dropped and re-factored until the point is
-   primal feasible — so a stale or corrupted descriptor costs pivots,
+   Basis lifecycle: a feasibility solve can start from a structural
+   {!Basis.t} proposal; the library's only proposer is the float
+   pre-solve behind [--lp-presolve].  The proposed columns are
+   re-factorised from scratch; dependent or vanished entries are
+   dropped, missing slots filled with unit columns, and columns basic
+   at a negative value dropped and re-factored until the point is
+   primal feasible — so a wrong or corrupted descriptor costs pivots,
    never correctness.  A recovered basis with every artificial at zero
    is a feasibility WITNESS (phase 1 is skipped entirely); one with
    positive artificials left is a warm phase-1 start that only has to
@@ -52,11 +53,12 @@ module Obs = struct
   let pivots_per_solve =
     M.histogram ~buckets:[ 10; 30; 100; 300; 1_000; 10_000 ] "simplex.pivots_per_solve"
 
-  (* Warm-start accounting: [hits] counts proposed bases accepted after
-     exact re-verification (phase 1 skipped), [misses] proposals
-     rejected (fell back to a cold phase 1), and [repairs] basis slots
-     that had to be rebuilt — dropped dependent or out-of-range columns
-     plus unit-column completions. *)
+  (* Basis-proposal accounting ({!Make.feasible_basis} [?warm], fed by
+     the float pre-solve): [hits] counts proposals accepted after exact
+     re-verification (a witness skips phase 1, a start shortens it),
+     [misses] proposals rejected (fell back to a cold phase 1), and
+     [repairs] basis slots that had to be rebuilt — dropped dependent or
+     out-of-range columns plus unit-column completions. *)
   let warm_hits = M.counter "lp.warm_start.hits"
   let warm_misses = M.counter "lp.warm_start.misses"
   let warm_repairs = M.counter "lp.warm_start.repairs"
@@ -78,7 +80,6 @@ let charge budget =
 
 let presolve = ref false
 let set_presolve b = presolve := b
-let presolve_enabled () = !presolve
 
 (* The engine proper, uninstrumented: {!Make} wraps its entry points in
    spans and solve counters, and the float pre-solve calls the float
@@ -535,8 +536,8 @@ module Core (F : Field.S) = struct
   (* What a loaded basis is good for.  [Warm_witness]: x_B ≥ 0 with
      every basic artificial at zero — the basis proves feasibility
      outright and phase 1 is skipped entirely.  [Warm_start]: x_B ≥ 0
-     but some artificial sits basic at a positive level (typically the
-     rows a replayed event added since the basis was saved) — a legal
+     but some artificial sits basic at a positive level (rows the
+     proposal left to their unit columns) — a legal
      primal-feasible start for phase 1, which then only has to drive
      out those few artificials instead of all of them.  [Warm_cold]:
      no primal-feasible point could be recovered from the proposal even
@@ -554,9 +555,8 @@ module Core (F : Field.S) = struct
     if !neg then Warm_cold else if !art then Warm_start else Warm_witness
 
   (* Load a proposal, repairing it towards primal feasibility: when the
-     factored basis carries negative basic values (the rhs moved under
-     it — e.g. a binary-search probe at a different horizon re-scales
-     the capacity rows, and B⁻¹b need not stay non-negative), drop the
+     factored basis carries negative basic values (a float guess
+     re-factored in exact Q need not give B⁻¹b ≥ 0), drop the
      proposal columns basic at the negative rows and re-factor, letting
      those rows fall back to their natural unit columns.  Each round
      removes at least one column, and the empty proposal degenerates to
@@ -614,14 +614,6 @@ module Core (F : Field.S) = struct
               Warm_cold
         end
 
-  (* Feasibility via the warm proposal when it is an outright witness,
-     else phase 1 — run from the warm basis when it was at least a
-     valid start, from the cold all-artificial basis otherwise. *)
-  let warm_or_phase1 ?pricing ?budget ?on_stall core warm =
-    match try_warm core warm with
-    | Warm_witness -> true
-    | Warm_start | Warm_cold -> fst (phase1 ?pricing ?budget ?on_stall core)
-
   (* ---- entry points ------------------------------------------------- *)
 
   let costs_of core (objective : (int * F.t) list) =
@@ -629,8 +621,7 @@ module Core (F : Field.S) = struct
     List.iter (fun (v, c) -> cost.(v) <- F.add cost.(v) c) objective;
     cost
 
-  let solve ?pricing ?budget ?on_stall ?(maximize = false) ?warm
-      (p : F.t Lp_problem.t) =
+  let solve ?pricing ?budget ?on_stall ?(maximize = false) (p : F.t Lp_problem.t) =
     let p =
       if maximize then
         {
@@ -641,7 +632,7 @@ module Core (F : Field.S) = struct
       else p
     in
     let core = build p in
-    if not (warm_or_phase1 ?pricing ?budget ?on_stall core warm) then Infeasible
+    if not (fst (phase1 ?pricing ?budget ?on_stall core)) then Infeasible
     else begin
       let cost = costs_of core p.Lp_problem.objective in
       drive_out core;
@@ -653,10 +644,18 @@ module Core (F : Field.S) = struct
           Optimal (extract core ~objective:obj)
     end
 
+  (* Feasibility via the proposal when it is an outright witness, else
+     phase 1 — run from the proposed basis when it was at least a valid
+     start, from the cold all-artificial basis otherwise. *)
   let feasible_basis ?pricing ?budget ?on_stall ?warm (p : F.t Lp_problem.t) =
     let p = { p with Lp_problem.objective = [] } in
     let core = build p in
-    if not (warm_or_phase1 ?pricing ?budget ?on_stall core warm) then None
+    let feasible =
+      match try_warm core warm with
+      | Warm_witness -> true
+      | Warm_start | Warm_cold -> fst (phase1 ?pricing ?budget ?on_stall core)
+    in
+    if not feasible then None
     else begin
       drive_out core;
       Some (extract core ~objective:F.zero, describe core)
@@ -718,10 +717,10 @@ module Make (F : Field.S) = struct
       (fun () -> Fun.protect ~finally:observe f)
 
   (* Float pre-solve: guess the optimal basis numerically and promote it
-     to the exact field as a warm-start hint.  The guess is re-verified
-     by the exact warm loader, so float noise costs pivots, never
+     to the exact field as a basis proposal.  The guess is re-verified
+     by the exact loader, so float noise costs pivots, never
      correctness — in particular a float "infeasible" is never trusted
-     (we just keep the caller's own hint). *)
+     (we just keep the caller's own proposal). *)
   let presolve_hint (p : F.t Lp_problem.t) warm =
     Hs_obs.Metrics.incr Obs.presolve_guesses;
     let fp =
@@ -746,9 +745,8 @@ module Make (F : Field.S) = struct
     | None -> warm
     | exception Division_by_zero -> warm
 
-  let solve ?pricing ?budget ?on_stall ?maximize ?warm (p : F.t Lp_problem.t) =
-    instrumented ~what:"solve" p @@ fun () ->
-    C.solve ?pricing ?budget ?on_stall ?maximize ?warm p
+  let solve ?pricing ?budget ?on_stall ?maximize (p : F.t Lp_problem.t) =
+    instrumented ~what:"solve" p @@ fun () -> C.solve ?pricing ?budget ?on_stall ?maximize p
 
   let feasible ?pricing ?budget ?on_stall p =
     match solve ?pricing ?budget ?on_stall { p with Lp_problem.objective = [] } with
@@ -759,7 +757,7 @@ module Make (F : Field.S) = struct
   let feasible_basis ?pricing ?budget ?on_stall ?warm (p : F.t Lp_problem.t) =
     instrumented ~what:"feasible_basis" p @@ fun () ->
     let warm = match warm with Some [] -> None | w -> w in
-    let warm = if presolve_enabled () && F.exact then presolve_hint p warm else warm in
+    let warm = if !presolve && F.exact then presolve_hint p warm else warm in
     C.feasible_basis ?pricing ?budget ?on_stall ?warm p
 
   let feasible_certified ?pricing ?budget ?on_stall p =

@@ -10,9 +10,10 @@
     depends on this to bound the fractional support.
 
     The constraint matrix is held as {!Sparse} rows with a product-form
-    eta file for the basis inverse, and a solve can start from a
-    structural {!Basis.t} saved from a similar problem (see
-    {!Make.feasible_basis}).  The differential suite checks results and
+    eta file for the basis inverse, and a feasibility solve can start
+    from a proposed structural {!Basis.t} (see {!Make.feasible_basis});
+    the library's only proposer is the float pre-solve of
+    {!set_presolve}.  The differential suite checks results and
     certificates against a dense tableau kept in [test/dense_oracle.ml]. *)
 
 type budget = {
@@ -38,13 +39,11 @@ exception Stall
     threshold. *)
 
 val set_presolve : bool -> unit
-
-val presolve_enabled : unit -> bool
-(** Whether exact feasibility solves first guess a basis with a
-    floating-point solve and promote it to exact Q as a warm hint (the
-    guess is always re-verified exactly; a float "infeasible" is never
-    trusted).  Process-wide and off by default; the CLI's
-    [--lp-presolve] enables it. *)
+(** Whether exact {!Make.feasible_basis} solves first guess a basis with
+    a floating-point solve and propose it, promoted to exact Q, as their
+    starting basis (the guess is always re-verified exactly; a float
+    "infeasible" is never trusted).  Process-wide and off by default;
+    the CLI's [--lp-presolve] enables it. *)
 
 module Make (F : Field.S) : sig
   type solution = {
@@ -67,13 +66,12 @@ module Make (F : Field.S) : sig
     ?budget:budget ->
     ?on_stall:[ `Bland | `Fail ] ->
     ?maximize:bool ->
-    ?warm:Basis.t ->
     F.t Lp_problem.t ->
     result
-  (** Minimises the objective by default.  [budget] meters pivots
-      (raising {!Pivot_limit} when exhausted); [on_stall] selects the
-      degeneracy response (default [`Bland], the silent rule switch);
-      [warm] proposes a starting basis as in {!feasible_basis}. *)
+  (** Minimises the objective by default, from the cold all-artificial
+      basis.  [budget] meters pivots (raising {!Pivot_limit} when
+      exhausted); [on_stall] selects the degeneracy response (default
+      [`Bland], the silent rule switch). *)
 
   val feasible :
     ?pricing:pricing ->
@@ -91,14 +89,16 @@ module Make (F : Field.S) : sig
     ?warm:Basis.t ->
     F.t Lp_problem.t ->
     (solution * Basis.t) option
-  (** Like {!feasible}, additionally returning the optimal basis as a
-      structural {!Basis.t} descriptor.  A later solve on a similar
-      problem can pass the descriptor back as [?warm]: the proposal is
-      re-factorised and re-verified in the solver's field — accepted
-      hints skip phase 1 entirely, stale or corrupted ones are repaired
-      or rejected (never trusted), so the verdict is unaffected by hint
-      quality.  With {!presolve_enabled} an exact-field solve first runs
-      a float solve and uses {e its} basis as the hint. *)
+  (** Like {!feasible}, additionally returning the final basis as a
+      structural {!Basis.t} descriptor.  [warm] proposes a starting
+      basis: it is re-factorised and re-verified in the solver's field —
+      an accepted witness skips phase 1 entirely, a stale or corrupted
+      proposal is repaired or rejected (never trusted), so the verdict
+      is unaffected by its quality.  Attempts are counted in
+      [lp.warm_start.hits]/[misses]/[repairs].  With {!set_presolve} an
+      exact-field solve first runs a float solve and proposes {e its}
+      basis instead; that is the only proposal the library makes, so
+      without it every solve is cold. *)
 
   type feasibility =
     | Feasible of solution

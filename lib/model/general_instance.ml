@@ -58,7 +58,7 @@ let to_unrelated t =
               t.sets;
             !best))
   in
-  Instance.unrelated times
+  Instance.unrelated ~m:t.m times
 
 (** Minimal admissible set (by cardinality) containing machine [i] that
     attains the reduced processing time of job [j]; used to lift a

@@ -52,12 +52,10 @@ let make laminar p =
 let make_exn laminar p =
   match make laminar p with Ok t -> t | Error e -> invalid_arg e
 
-(** Unrelated-machines instance ([R||Cmax]): family of singletons,
-    [times.(j).(i)] = processing time of job [j] on machine [i]. *)
-let unrelated times =
-  let n = Array.length times in
-  if n = 0 then invalid_arg "Instance.unrelated: no jobs";
-  let m = Array.length times.(0) in
+(** Unrelated-machines instance ([R||Cmax]): family of the [m]
+    singletons, [times.(j).(i)] = processing time of job [j] on machine
+    [i]. *)
+let unrelated ~m times =
   let lam = Topology.singletons m in
   (* Singleton of machine i need not be set id i; translate. *)
   let p =

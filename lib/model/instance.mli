@@ -24,9 +24,11 @@ val make : Laminar.t -> Ptime.t array array -> (t, string) result
 
 val make_exn : Laminar.t -> Ptime.t array array -> t
 
-val unrelated : Ptime.t array array -> t
+val unrelated : m:int -> Ptime.t array array -> t
 (** Unrelated machines ([R||Cmax]): [times.(job).(machine)] over the
-    family of singletons. *)
+    family of the [m] singletons.  [times] may be empty (no jobs);
+    raises [Invalid_argument] when [m < 1] or a row's length is not
+    [m]. *)
 
 val semi_partitioned : global:Ptime.t array -> local:Ptime.t array array -> t
 (** Semi-partitioned (§III): [global.(j)] is [P_j(M)],

@@ -69,12 +69,6 @@ type state = {
   check : bool;
   lp : bool;
   active : bool array;
-  warm : Hs_core.Approx.Exact.I.warm_store option;
-      (* basis hints shared by the per-event re-solves: successive events
-         solve near-identical relaxations, so each one warm-starts from
-         the previous optimal basis (pivot savings only — the verdicts
-         and schedules are warm-independent); [None] forces cold solves
-         (the benchmark's comparison baseline) *)
   seen : (int, unit) Hashtbl.t;
   mutable live : (int * Ptime.t array) list;  (* arrival order *)
   assign : (int, int list) Hashtbl.t;  (* job id → members of its set *)
@@ -96,7 +90,7 @@ type state = {
   mutable check_failures : int;
 }
 
-let create ?beta ?(check = false) ?(lp = false) ?(warm_start = true) lam =
+let create ?beta ?(check = false) ?(lp = false) lam =
   let missing = ref None in
   for i = Laminar.m lam - 1 downto 0 do
     if Laminar.singleton lam i = None then missing := Some i
@@ -115,9 +109,6 @@ let create ?beta ?(check = false) ?(lp = false) ?(warm_start = true) lam =
           check;
           lp;
           active = Array.make (Laminar.m lam) true;
-          warm =
-            (if warm_start then Some (Hs_core.Approx.Exact.I.warm_store ())
-             else None);
           seen = Hashtbl.create 64;
           live = [];
           assign = Hashtbl.create 64;
@@ -396,7 +387,7 @@ let step_core st (id, ev) =
         else begin
           st.resolves <- st.resolves + 1;
           Metrics.incr c_resolves;
-          match Hs_core.Approx.Exact.solve_checked ?warm:st.warm inst with
+          match Hs_core.Approx.Exact.solve_checked inst with
           | Error e ->
               Error
                 (Printf.sprintf "event %d: re-solve failed: %s" id
@@ -563,8 +554,8 @@ module Session = struct
   let summary = summary
 end
 
-let run ?beta ?(check = false) ?(lp = false) ?(jobs = 1) ?warm_start trace =
-  match create ?beta ~check:false ~lp ?warm_start (Trace.laminar trace) with
+let run ?beta ?(check = false) ?(lp = false) ?(jobs = 1) trace =
+  match create ?beta ~check:false ~lp (Trace.laminar trace) with
   | Error e -> Error e
   | Ok st -> (
       let rec go acc = function

@@ -90,17 +90,14 @@ module Session : sig
     ?beta:Q.t ->
     ?check:bool ->
     ?lp:bool ->
-    ?warm_start:bool ->
     Laminar.t ->
     (t, string) result
   (** [beta] is the migration budget coefficient (absent = unlimited);
       [check] certifies every step inline; [lp] additionally re-derives
-      each step's lower bound inside the certificate; [warm_start]
-      (default [true]) threads a basis store through the per-event
-      re-solves so each LP starts from the previous optimal basis —
-      schedules and verdicts are identical either way, only pivot
-      counts change (the benchmark replays cold for comparison).  Fails
-      unless the family is singleton-complete. *)
+      each step's lower bound inside the certificate.  Each event's
+      re-solve is an independent cold {!Hs_core.Approx.Exact.solve_checked}:
+      no LP basis is carried from one event to the next.  Fails unless
+      the family is singleton-complete. *)
 
   val step : t -> int * Trace.event -> (step, string) result
   (** Apply one event.  An [Error] rejects the event and leaves the
@@ -114,13 +111,12 @@ val run :
   ?check:bool ->
   ?lp:bool ->
   ?jobs:int ->
-  ?warm_start:bool ->
   Trace.t ->
   (outcome, string) result
 (** Replay a whole (statically validated) trace.  With [check], step
     certification fans out over [jobs] domains ({!Hs_exec.parmap});
     everything else is sequential, so the outcome is identical at any
-    [jobs].  [warm_start] as in {!Session.create}. *)
+    [jobs]. *)
 
 val vs_baseline : outcome -> baseline:outcome -> Q.t option * Q.t option
 (** [(max, mean)] per-step makespan ratio of an outcome against a replay

@@ -610,19 +610,16 @@ let claim_socket_path path =
   else Ok ()
 
 let listen_on path =
-  match claim_socket_path path with
-  | Error _ as e -> e
-  | Ok () -> (
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      match
-        Unix.bind fd (Unix.ADDR_UNIX path);
-        Unix.listen fd 64;
-        Unix.set_nonblock fd
-      with
-      | () -> Ok fd
-      | exception Unix.Unix_error (e, _, _) ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          Error (Printf.sprintf "cannot listen on %s: %s" path (Unix.error_message e)))
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  match
+    Unix.bind fd (Unix.ADDR_UNIX path);
+    Unix.listen fd 64;
+    Unix.set_nonblock fd
+  with
+  | () -> Ok fd
+  | exception Unix.Unix_error (e, _, _) ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Error (Printf.sprintf "cannot listen on %s: %s" path (Unix.error_message e))
 
 (* ---- main loop ------------------------------------------------------- *)
 
@@ -640,15 +637,15 @@ let accept_all st =
   in
   go ()
 
-let restore_snapshot st =
-  match st.cfg.snapshot_path with
+let restore_snapshot cfg engine =
+  match cfg.snapshot_path with
   | Some path when Sys.file_exists path -> (
-      match Engine.load_snapshot st.engine path with
+      match Engine.load_snapshot engine path with
       | Ok (loaded, rejected) ->
-          st.cfg.log
+          cfg.log
             (Printf.sprintf "restored %d cache entries from %s (%d rejected)" loaded
                path rejected)
-      | Error e -> st.cfg.log (Printf.sprintf "snapshot not restored: %s" e))
+      | Error e -> cfg.log (Printf.sprintf "snapshot not restored: %s" e))
   | _ -> ()
 
 let persist_snapshot st =
@@ -669,7 +666,19 @@ let run cfg =
     invalid_arg "Daemon.run: recorder_capacity must be >= 1";
   if cfg.max_sessions < 1 then invalid_arg "Daemon.run: max_sessions must be >= 1";
   (ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore) : unit);
-  match listen_on cfg.socket_path with
+  let engine =
+    Engine.create ~verify:cfg.verify ~deadline_units_per_ms:cfg.deadline_units_per_ms
+      ~jobs:cfg.jobs ~cache_capacity:cfg.cache_capacity ~default_budget:cfg.default_budget ()
+  in
+  (* Claim the path, restore, and only then bind: the socket file is the
+     readiness signal clients wait on, so it must not appear before the
+     cache is restored. *)
+  let listening =
+    Result.bind (claim_socket_path cfg.socket_path) (fun () ->
+        restore_snapshot cfg engine;
+        listen_on cfg.socket_path)
+  in
+  match listening with
   | Error _ as e -> e
   | Ok listen_fd ->
       let st =
@@ -680,17 +689,12 @@ let run cfg =
           conns = [];
           queue = Queue.create ();
           shed_streak = 0;
-          engine =
-            Engine.create ~verify:cfg.verify
-              ~deadline_units_per_ms:cfg.deadline_units_per_ms ~jobs:cfg.jobs
-              ~cache_capacity:cfg.cache_capacity ~default_budget:cfg.default_budget
-              ();
+          engine;
           recorder = Recorder.create ~capacity:cfg.recorder_capacity;
           sessions = Sessions.create ~capacity:cfg.max_sessions;
           draining = None;
         }
       in
-      restore_snapshot st;
       cfg.log
         (Printf.sprintf "listening on %s (jobs=%d, cache=%d, batch=%d, queue=%d)"
            cfg.socket_path cfg.jobs cfg.cache_capacity cfg.max_batch cfg.max_queue);

@@ -52,6 +52,8 @@
     the cache from the snapshot on startup (each entry re-proves its
     fingerprint; tampered entries are rejected and counted) and writes
     the cache back after draining on shutdown ({!Engine.save_snapshot}).
+    The restore runs before the socket is bound, so a client that waits
+    for the socket file to appear finds the cache already restored.
 
     {b Observability} (DESIGN.md §14): every solve outcome — completed,
     shed, or queue-expired — lands in a {!Recorder} ring of

@@ -34,7 +34,7 @@ let unrelated rng ~n ~m ~pmin ~pmax ?(correlation = 0.0) () =
             in
             Ptime.fin (Stdlib.max 1 v)))
   in
-  Instance.unrelated times
+  Instance.unrelated ~m times
 
 (** Hierarchical instance over an arbitrary singleton-complete laminar
     topology.  Per job: a base length in [base]; per machine a speed in

@@ -134,10 +134,34 @@ let test_empty_schedule_metrics () =
   Alcotest.(check int) "makespan" 0 (Schedule.makespan sched)
 
 let test_approx_infeasible_instance () =
-  let inst = Instance.unrelated [| [| Ptime.Inf; Ptime.Inf |] |] in
+  let inst = Instance.unrelated ~m:2 [| [| Ptime.Inf; Ptime.Inf |] |] in
   match Approx.Exact.solve inst with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unschedulable instance accepted"
+
+(* No jobs: the search pins T* = 0, and the unrelated restriction and
+   the Section II reduction keep their machines although no row of
+   processing times carries the count. *)
+let test_zero_jobs () =
+  let inst = Instance.make_exn (Hs_laminar.Topology.semi_partitioned 3) [||] in
+  (match Approx.Exact.solve_checked inst with
+  | Error e -> Alcotest.failf "zero jobs: %s" (Hs_error.to_string e)
+  | Ok o ->
+      Alcotest.(check (pair int int)) "T* and makespan" (0, 0) (o.t_lp, o.makespan);
+      Alcotest.(check int) "closed family keeps its machines" 3
+        (Instance.nmachines o.instance);
+      Alcotest.(check bool) "valid" true
+        (Schedule.is_valid o.instance o.assignment o.schedule));
+  Alcotest.(check int) "I_u keeps its machines" 3
+    (Instance.nmachines (Approx.Exact.unrelated_restriction inst));
+  let g = General_instance.make_exn ~m:3 ~sets:[ [ 0; 1; 2 ]; [ 0; 1 ] ] ~p:[||] in
+  Alcotest.(check int) "reduction keeps its machines" 3
+    (Instance.nmachines (General_instance.to_unrelated g));
+  match Approx.solve_general g with
+  | Error e -> Alcotest.failf "zero jobs, general family: %s" e
+  | Ok o ->
+      Alcotest.(check (pair int int)) "general bound and makespan" (0, 0)
+        (o.lower_bound, o.makespan)
 
 let suite =
   let u name f = Alcotest.test_case name `Quick f in
@@ -153,4 +177,5 @@ let suite =
       u "Q parse errors" test_q_parse_errors;
       u "empty schedule metrics" test_empty_schedule_metrics;
       u "approx rejects unschedulable" test_approx_infeasible_instance;
+      u "zero jobs solve to makespan 0" test_zero_jobs;
     ] )

@@ -17,7 +17,7 @@ let test_examples () =
   | None -> Alcotest.fail "Example V.1 infeasible"
 
 let test_infeasible_instance () =
-  let inst = Instance.unrelated [| [| Ptime.Inf; Ptime.Inf |] |] in
+  let inst = Instance.unrelated ~m:2 [| [| Ptime.Inf; Ptime.Inf |] |] in
   Alcotest.(check bool) "no assignment" true (Exact.optimal inst = None);
   Alcotest.(check bool) "brute force agrees" true (Exact.brute_force inst = None)
 

@@ -163,7 +163,7 @@ let prop_model2_sigma =
           && r.fallback_drops = 0)
 
 let test_model2_requires_tree () =
-  let inst = Instance.unrelated [| [| Ptime.fin 1; Ptime.fin 1 |] |] in
+  let inst = Instance.unrelated ~m:2 [| [| Ptime.fin 1; Ptime.fin 1 |] |] in
   let payload = { Memory.mu = qi 2; sizes = [| Q.one |] } in
   match Memory.solve_model2 inst payload with
   | Error _ -> ()

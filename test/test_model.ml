@@ -49,7 +49,7 @@ let test_monotonicity_validation () =
   | Ok _ -> Alcotest.fail "ragged matrix accepted"
 
 let test_constructors () =
-  let u = Instance.unrelated [| [| fin 2; fin 3 |]; [| fin 1; Ptime.Inf |] |] in
+  let u = Instance.unrelated ~m:2 [| [| fin 2; fin 3 |]; [| fin 1; Ptime.Inf |] |] in
   Alcotest.(check int) "unrelated jobs" 2 (Instance.njobs u);
   Alcotest.(check bool) "unrelated shape" true
     (Laminar.is_singletons_only (Instance.laminar u));
@@ -79,9 +79,9 @@ let test_with_singletons () =
   Alcotest.(check bool) "translate full" true (translate full' <> None)
 
 let test_min_volume () =
-  let inst = Instance.unrelated [| [| fin 2; fin 3 |]; [| fin 5; fin 1 |] |] in
+  let inst = Instance.unrelated ~m:2 [| [| fin 2; fin 3 |]; [| fin 5; fin 1 |] |] in
   Alcotest.(check (option int)) "total min volume" (Some 3) (Instance.total_min_volume inst);
-  let inst2 = Instance.unrelated [| [| Ptime.Inf; Ptime.Inf |] |] in
+  let inst2 = Instance.unrelated ~m:2 [| [| Ptime.Inf; Ptime.Inf |] |] in
   Alcotest.(check (option int)) "infeasible job" None (Instance.total_min_volume inst2)
 
 let test_assignment_makespan () =
@@ -102,7 +102,7 @@ let test_assignment_makespan () =
   Alcotest.(check bool) "ill-formed" false (Assignment.well_formed inst bad)
 
 let test_schedule_validation () =
-  let inst = Instance.unrelated [| [| fin 2; Ptime.Inf |]; [| Ptime.Inf; fin 3 |] |] in
+  let inst = Instance.unrelated ~m:2 [| [| fin 2; Ptime.Inf |]; [| Ptime.Inf; fin 3 |] |] in
   let lam = Instance.laminar inst in
   let s i = Option.get (Laminar.singleton lam i) in
   let a = [| s 0; s 1 |] in

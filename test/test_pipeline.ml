@@ -34,7 +34,7 @@ let test_t_bounds () =
       Alcotest.(check int) "hi = greedy partitioned makespan"
         Families.example_ii1_unrelated_opt hi
   | None -> Alcotest.fail "bounds expected");
-  let dead = Instance.unrelated [| [| Ptime.Inf |] |] in
+  let dead = Instance.unrelated ~m:1 [| [| Ptime.Inf |] |] in
   Alcotest.(check bool) "unschedulable job detected" true (I.t_bounds dead = None);
   Alcotest.(check bool) "min_feasible_t rejects" true (I.min_feasible_t dead = None)
 

@@ -1,8 +1,8 @@
 (* Differential suite for the LP engine (Hs_lp.Simplex, a sparse
    revised simplex) against the dense tableau oracle in
-   dense_oracle.ml, plus warm-start soundness, the degenerate and
-   pivot-budget pins, warm-vs-cold online replay, and the Hs_check
-   vertex invariant.
+   dense_oracle.ml, plus the soundness of basis proposals (the entry
+   --lp-presolve uses), the degenerate and pivot-budget pins, and the
+   Hs_check vertex invariant.
 
    The engine and the oracle may pivot along different paths to
    different optimal vertices, so the differential compares results:
@@ -14,11 +14,7 @@
 open Hs_lp
 module Q = Hs_numeric.Q
 module SQ = Simplex.Make (Field.Exact)
-module Ilp = Hs_core.Ilp.Make (Field.Exact)
-module Oracle = Hs_workloads.Oracle
-module Shrink = Hs_workloads.Shrink
 module Rng = Hs_workloads.Rng
-module Replay = Hs_online.Replay
 
 let q = Q.of_int
 let qq = Q.of_ints
@@ -191,37 +187,46 @@ let test_seeded_differential () =
     differential (Printf.sprintf "seed %d" seed) (seeded_lp seed)
   done
 
-(* ---- warm-start soundness -------------------------------------------- *)
+(* ---- basis proposals (feasible_basis ~warm) ---------------------------- *)
+
+(* The entry the float pre-solve proposes its guesses through.  Every
+   point is checked as a vertex of the zero-objective problem that
+   feasible_basis actually solves. *)
 
 let feasible_seed seed = seeded_lp ((seed * 7) + 1) (* avoid the seed mod 7 = 0 injection *)
+let zero_objective p = { p with Lp_problem.objective = [] }
 
+let check_feasible_vertex label p (s : SQ.solution) =
+  check_vertex label "proposal" (zero_objective p) ~x:s.x ~basic:s.basic ~objective:Q.zero
+
+(* A basis proposed back to the problem it came from is a witness for
+   the same vertex: one hit, no miss, no pivot. *)
 let test_warm_same_objective () =
   for seed = 0 to 24 do
     let p = feasible_seed seed in
-    match SQ.solve p with
-    | SQ.Optimal cold -> (
-        let basis =
-          match SQ.feasible_basis p with
-          | Some (_, b) -> b
-          | None -> Alcotest.failf "seed %d: optimal but not feasible?" seed
-        in
-        match SQ.solve ~warm:basis p with
-        | SQ.Optimal warm ->
-            Alcotest.(check string)
-              (Printf.sprintf "seed %d: warm objective" seed)
-              (Q.to_string cold.objective)
-              (Q.to_string warm.objective)
-        | _ -> Alcotest.failf "seed %d: warm solve lost feasibility" seed)
-    | _ -> ()
+    let label = Printf.sprintf "seed %d" seed in
+    let cold, basis =
+      match SQ.feasible_basis p with
+      | Some r -> r
+      | None -> Alcotest.failf "%s: expected feasible" label
+    in
+    Hs_obs.Metrics.reset ();
+    match SQ.feasible_basis ~warm:basis p with
+    | Some (s, _) ->
+        check_feasible_vertex label p s;
+        Alcotest.(check (array string))
+          (label ^ ": same vertex")
+          (Array.map Q.to_string cold.x) (Array.map Q.to_string s.x);
+        Alcotest.(check (list int))
+          (label ^ ": hits, misses, pivots")
+          [ 1; 0; 0 ]
+          (List.map counter
+             [ "lp.warm_start.hits"; "lp.warm_start.misses"; "simplex.pivots" ])
+    | None -> Alcotest.failf "%s: own basis lost feasibility" label
   done
 
 let test_corrupt_basis_repaired () =
   let p = feasible_seed 3 in
-  let cold =
-    match SQ.solve p with
-    | SQ.Optimal s -> s
-    | _ -> Alcotest.fail "expected optimal"
-  in
   (* Garbage proposals: out-of-range variables, duplicates, auxiliaries
      of rows that do not exist, and a basis stolen from an unrelated
      problem.  All must be repaired or rejected — never trusted. *)
@@ -237,12 +242,9 @@ let test_corrupt_basis_repaired () =
   List.iteri
     (fun k proposal ->
       Hs_obs.Metrics.reset ();
-      match SQ.solve ~warm:proposal p with
-      | SQ.Optimal s ->
-          Alcotest.(check string)
-            (Printf.sprintf "corrupt %d: objective unchanged" k)
-            (Q.to_string cold.objective)
-            (Q.to_string s.objective);
+      match SQ.feasible_basis ~warm:proposal p with
+      | Some (s, _) ->
+          check_feasible_vertex (Printf.sprintf "corrupt %d" k) p s;
           let hits = counter "lp.warm_start.hits" in
           let misses = counter "lp.warm_start.misses" in
           (* Out-of-range entries are dropped at translation, so a
@@ -252,46 +254,25 @@ let test_corrupt_basis_repaired () =
             (Printf.sprintf "corrupt %d: warm attempt recorded" k)
             true
             (hits > 0 || misses > 0 || proposal = [])
-      | _ -> Alcotest.failf "corrupt %d: lost feasibility" k)
+      | None -> Alcotest.failf "corrupt %d: lost feasibility" k)
     corrupt_proposals
 
-let test_warm_store_round_trip () =
-  let inst = Oracle.instance_of_seed ~max_m:4 ~max_n:8 5 in
-  let store = Ilp.warm_store () in
-  match Ilp.t_bounds inst with
-  | None -> Alcotest.fail "oracle instance has no bounds"
-  | Some (_, hi) ->
-      let first = Ilp.lp_feasible_x ~warm:store inst ~tmax:hi in
-      Alcotest.(check bool) "first probe feasible" true (first <> None);
-      Alcotest.(check bool) "store populated" true (Ilp.warm_saved store > 0);
-      Hs_obs.Metrics.reset ();
-      let second = Ilp.lp_feasible_x ~warm:store inst ~tmax:hi in
-      Alcotest.(check bool) "second probe feasible" true (second <> None);
-      Alcotest.(check int) "identical re-solve is a pure hit" 1
-        (counter "lp.warm_start.hits");
-      Alcotest.(check int) "identical re-solve needs no pivots" 0
-        (counter "simplex.pivots")
-
-(* Warm-started binary search returns the same T* as cold; a failing
-   seed is shrunk to a minimal instance before reporting. *)
-let test_warm_search_same_horizon () =
-  let disagrees inst =
-    let cold = Option.map fst (Ilp.min_feasible_t inst) in
-    let warm =
-      Option.map fst (Ilp.min_feasible_t_x ~warm:(Ilp.warm_store ()) inst)
-    in
-    cold <> warm
-  in
-  for seed = 0 to 14 do
-    let inst = Oracle.instance_of_seed ~max_m:4 ~max_n:7 seed in
-    if disagrees inst then begin
-      let minimal = Shrink.minimize ~still_failing:disagrees inst in
-      let jobs, sets, vol = Shrink.measure minimal in
-      Alcotest.failf
-        "seed %d: warm binary search diverges; minimal counterexample has \
-         %d jobs / %d sets / volume %d"
-        seed jobs sets vol
-    end
+(* A loaded proposal is only ever a starting point: on a system with no
+   solution, phase 1 must still report infeasibility. *)
+let test_foreign_basis_infeasible () =
+  for k = 0 to 29 do
+    let p = seeded_lp (7 * k) in
+    match SQ.feasible_basis p with
+    | Some _ -> Alcotest.failf "seeded_lp %d: fixture should be infeasible" (7 * k)
+    | None -> (
+        let donor =
+          match SQ.feasible_basis (feasible_seed k) with
+          | Some (_, b) -> b
+          | None -> Alcotest.failf "feasible_seed %d: expected feasible" k
+        in
+        match SQ.feasible_basis ~warm:donor p with
+        | None -> ()
+        | Some _ -> Alcotest.failf "seeded_lp %d: a foreign basis made it feasible" (7 * k))
   done
 
 (* ---- degenerate pins and pivot budgets --------------------------------- *)
@@ -341,35 +322,6 @@ let test_pivot_limit () =
         Alcotest.(check int) (Printf.sprintf "budget %d: consumed" k) k (Simplex.consumed b)
     | _ -> Alcotest.failf "budget %d: solve finished under %d pivots" k full
   done
-
-(* ---- warm-started online replay --------------------------------------- *)
-
-(* A growth trace (no departures) replayed cold and warm-started: the
-   outcome must be identical and the warm run strictly cheaper. *)
-let test_warm_replay () =
-  let tr =
-    Hs_workloads.Generators.trace ~seed:1301
-      ~lam:(Hs_laminar.Topology.smp_cmp ~nodes:2 ~chips_per_node:2 ~cores_per_chip:2)
-      ~events:24 ~base:(1, 9) ~heterogeneity:1.3 ~overhead:0.2 ~departures:0.0
-      ~max_live:12 ()
-  in
-  let replay ?warm_start () =
-    Hs_obs.Metrics.reset ();
-    match Replay.run ?warm_start tr with
-    | Error e -> Alcotest.failf "replay failed: %s" e
-    | Ok o ->
-        ( List.map (fun st -> Hs_obs.Json.to_string (Replay.step_to_json st)) o.Replay.steps,
-          counter "simplex.pivots",
-          counter "lp.warm_start.hits" )
-  in
-  let cold, cold_pivots, _ = replay ~warm_start:false () in
-  let warm, warm_pivots, hits = replay () in
-  Alcotest.(check (list string)) "steps identical" cold warm;
-  Alcotest.(check bool) "warm hits recorded" true (hits > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "warm pivots %d < cold %d" warm_pivots cold_pivots)
-    true
-    (warm_pivots < cold_pivots)
 
 (* ---- the Hs_check vertex invariant blames corruption ------------------ *)
 
@@ -438,10 +390,8 @@ let suite =
       u "210 seeded LPs agree with the dense oracle" test_seeded_differential;
       u "warm solve = cold objective" test_warm_same_objective;
       u "corrupted bases repaired, never trusted" test_corrupt_basis_repaired;
-      u "warm store round trip (0-pivot re-solve)" test_warm_store_round_trip;
-      u "warm binary search = cold T* (shrinking)" test_warm_search_same_horizon;
+      u "foreign basis on infeasible systems stays None" test_foreign_basis_infeasible;
       u "degenerate pins under Dantzig and Bland" test_degenerate_pins;
       u "Pivot_limit at every short allowance" test_pivot_limit;
-      u "warm replay = cold steps, fewer pivots" test_warm_replay;
       u "lp_vertex blames corruption" test_lp_vertex_blames;
     ] )

@@ -2,12 +2,12 @@
    [min_feasible_t], whose bracket ends at the greedy partitioned
    makespan, against the bisection over [max_j min p, Σ_j min p] in
    search_oracle.ml.  Both must return the same (T*, frac), structurally
-   equal, and the bracket must be sound: lo ≤ hi ≤ Σ_j min p, the
-   relaxation feasible at hi, and the warm-started search at the same
-   T*.  Inputs: the oracle corpus raw and singleton-closed, the three
-   certify-batch topologies, and families missing some or all of their
-   singletons, where the greedy either works around the gaps or fails
-   and the bracket falls back to Σ_j min p.
+   equal, and the bracket must be sound: lo ≤ hi ≤ Σ_j min p and the
+   relaxation feasible at hi.  Inputs: the oracle corpus raw and
+   singleton-closed, the three certify-batch topologies, and families
+   missing some or all of their singletons, where the greedy either
+   works around the gaps or fails and the bracket falls back to
+   Σ_j min p.
 
    With QCHECK_LONG=1 each property draws 100 times its usual count:
    QCHECK_LONG=1 dune exec test/test_main.exe -- test search_diff *)
@@ -22,7 +22,6 @@ module Topology = Hs_laminar.Topology
    fails. *)
 let agree inst =
   let fail fmt = Printf.ksprintf Result.error fmt in
-  let horizon = Option.map fst in
   let show = function None -> "none" | Some (t, _) -> string_of_int t in
   let oracle = Search_oracle.min_feasible_t inst in
   match (I.t_bounds inst, Search_oracle.bounds inst) with
@@ -30,15 +29,12 @@ let agree inst =
       if I.min_feasible_t inst = None then Ok () else fail "a horizon without bounds"
   | Some (lo, hi), Some (olo, volume) ->
       let found = I.min_feasible_t inst in
-      let warm = I.min_feasible_t_x ~warm:(I.warm_store ()) inst in
       if lo <> olo then fail "lo = %d, oracle %d" lo olo
       else if not (lo <= hi && hi <= volume) then
         fail "bracket [%d, %d] not inside [%d, %d]" lo hi lo volume
       else if I.lp_feasible inst ~tmax:hi = None then fail "relaxation infeasible at hi = %d" hi
       else if found <> oracle then
         fail "(T*, frac) differs: T* = %s, oracle %s" (show found) (show oracle)
-      else if horizon warm <> horizon oracle then
-        fail "warm search T* = %s, oracle %s" (show warm) (show oracle)
       else Ok ()
   | _ -> fail "t_bounds and the oracle disagree on whether bounds exist"
 

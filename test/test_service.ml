@@ -736,6 +736,33 @@ let test_daemon_snapshot_restart () =
       Alcotest.(check bool) "restored cache answers the restart" true r.Protocol.cached;
       Alcotest.(check string) "byte-identical across the restart" first r.Protocol.body
 
+(* The socket file is the readiness signal crams and clients wait on, so
+   it must not appear before the snapshot has been restored. *)
+let test_socket_after_restore () =
+  let snap =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "hsvc-ready-%d.json" (Unix.getpid ()))
+  in
+  Fun.protect ~finally:(fun () -> try Sys.remove snap with Sys_error _ -> ())
+  @@ fun () ->
+  (match
+     Engine.save_snapshot (Engine.create ~jobs:1 ~cache_capacity:8 ~default_budget:None ()) snap
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "save failed: %s" e);
+  let socket_at_restore = Atomic.make None in
+  with_daemon
+    ~tweak:(fun c ->
+      let log line =
+        if String.starts_with ~prefix:"restored" line then
+          Atomic.set socket_at_restore (Some (Sys.file_exists c.Daemon.socket_path))
+      in
+      { c with Daemon.snapshot_path = Some snap; log })
+    ignore;
+  Alcotest.(check (option bool)) "socket file absent when restored is logged" (Some false)
+    (Atomic.get socket_at_restore)
+
 (* ---- observability: flight recorder, introspect, trace spans ---------- *)
 
 module Recorder = Hs_service.Recorder
@@ -977,6 +1004,8 @@ let suite =
         test_snapshot_roundtrip;
       Alcotest.test_case "daemon restores its cache across restarts" `Quick
         test_daemon_snapshot_restart;
+      Alcotest.test_case "socket appears only after the snapshot restore" `Quick
+        test_socket_after_restore;
       Alcotest.test_case "flight recorder ring semantics" `Quick test_recorder_ring;
       Alcotest.test_case "introspect reports live daemon state" `Quick
         test_daemon_introspect;
