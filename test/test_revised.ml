@@ -1,8 +1,9 @@
 (* Differential suite for the LP engine (Hs_lp.Simplex, a sparse
    revised simplex) against the dense tableau oracle in
    dense_oracle.ml, plus the soundness of basis proposals (the entry
-   --lp-presolve uses), the degenerate and pivot-budget pins, and the
-   Hs_check vertex invariant.
+   --lp-presolve uses) and of the presolved horizon search, the
+   degenerate and pivot-budget pins, and the Hs_check vertex
+   invariant.
 
    The engine and the oracle may pivot along different paths to
    different optimal vertices, so the differential compares results:
@@ -14,6 +15,9 @@
 open Hs_lp
 module Q = Hs_numeric.Q
 module SQ = Simplex.Make (Field.Exact)
+module Ilp = Hs_core.Ilp.Make (Field.Exact)
+module Oracle = Hs_workloads.Oracle
+module Shrink = Hs_workloads.Shrink
 module Rng = Hs_workloads.Rng
 
 let q = Q.of_int
@@ -275,6 +279,41 @@ let test_foreign_basis_infeasible () =
         | Some _ -> Alcotest.failf "seeded_lp %d: a foreign basis made it feasible" (7 * k))
   done
 
+(* The float pre-solve is the library's only proposer.  Without it no
+   horizon probe proposes a basis; with it every probe is offered the
+   float guess, and the search still returns the cold T*.  A failing
+   seed is shrunk to a minimal instance before reporting. *)
+let test_presolve_search_same_horizon () =
+  let with_presolve f =
+    Simplex.set_presolve true;
+    Fun.protect ~finally:(fun () -> Simplex.set_presolve false) f
+  in
+  let horizon inst = Option.map fst (Ilp.min_feasible_t inst) in
+  let disagrees inst = horizon inst <> with_presolve (fun () -> horizon inst) in
+  let proposals () = counter "lp.warm_start.hits" + counter "lp.warm_start.misses" in
+  let hinted = ref 0 in
+  for seed = 0 to 14 do
+    let inst = Oracle.instance_of_seed ~max_m:4 ~max_n:7 seed in
+    Hs_obs.Metrics.reset ();
+    let cold = horizon inst in
+    Alcotest.(check (list int))
+      (Printf.sprintf "seed %d: cold search proposes nothing" seed)
+      [ 0; 0 ]
+      [ proposals (); counter "lp.presolve.guesses" ];
+    Hs_obs.Metrics.reset ();
+    let warm = with_presolve (fun () -> horizon inst) in
+    hinted := !hinted + proposals ();
+    if cold <> warm then begin
+      let minimal = Shrink.minimize ~still_failing:disagrees inst in
+      let jobs, sets, vol = Shrink.measure minimal in
+      Alcotest.failf
+        "seed %d: presolved binary search diverges; minimal counterexample \
+         has %d jobs / %d sets / volume %d"
+        seed jobs sets vol
+    end
+  done;
+  Alcotest.(check bool) "the float guesses reach the loader" true (!hinted > 0)
+
 (* ---- degenerate pins and pivot budgets --------------------------------- *)
 
 let beale = List.assoc "degenerate (Beale)" (List.map (fun (l, _, p) -> (l, p)) fixtures)
@@ -391,6 +430,7 @@ let suite =
       u "warm solve = cold objective" test_warm_same_objective;
       u "corrupted bases repaired, never trusted" test_corrupt_basis_repaired;
       u "foreign basis on infeasible systems stays None" test_foreign_basis_infeasible;
+      u "presolved binary search = cold T* (shrinking)" test_presolve_search_same_horizon;
       u "degenerate pins under Dantzig and Bland" test_degenerate_pins;
       u "Pivot_limit at every short allowance" test_pivot_limit;
       u "lp_vertex blames corruption" test_lp_vertex_blames;

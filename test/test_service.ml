@@ -1004,8 +1004,6 @@ let suite =
         test_snapshot_roundtrip;
       Alcotest.test_case "daemon restores its cache across restarts" `Quick
         test_daemon_snapshot_restart;
-      Alcotest.test_case "socket appears only after the snapshot restore" `Quick
-        test_socket_after_restore;
       Alcotest.test_case "flight recorder ring semantics" `Quick test_recorder_ring;
       Alcotest.test_case "introspect reports live daemon state" `Quick
         test_daemon_introspect;
@@ -1013,4 +1011,6 @@ let suite =
         test_introspect_during_overload;
       Alcotest.test_case "traced solve returns tagged server spans" `Quick
         test_traced_solve_returns_spans;
+      Alcotest.test_case "socket appears only after the snapshot restore" `Quick
+        test_socket_after_restore;
     ] )
