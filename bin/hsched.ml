@@ -47,10 +47,26 @@ let build_topology kind ~m =
   | `Random -> Hs_workloads.Generators.random_laminar (Hs_workloads.Rng.create 7) ~m ()
   | `Singletons -> T.singletons m
 
+(* Exit-code contract (documented in README.md): 0 success, 1 internal
+   failure, 2 unusable input, 3 infeasible instance, 4 budget
+   exhausted. *)
+let exit_with code msg =
+  prerr_endline ("hsched: " ^ msg);
+  exit code
+
+let exit_err msg = exit_with 1 msg
+let exit_usage msg = exit_with 2 msg
+
 let load_or_generate file topology m n seed overhead het =
   match file with
   | Some path -> Instance_io.load path
   | None ->
+      if m < 1 then exit_usage (Printf.sprintf "--machines must be at least 1, got %d" m);
+      if n < 1 then exit_usage (Printf.sprintf "--jobs must be at least 1, got %d" n);
+      if not (het >= 1.0) then
+        exit_usage (Printf.sprintf "--heterogeneity must be at least 1, got %g" het);
+      if not (overhead >= 0.0) then
+        exit_usage (Printf.sprintf "--overhead must be at least 0, got %g" overhead);
       let rng = Hs_workloads.Rng.create seed in
       let lam = build_topology topology ~m in
       Ok
@@ -123,16 +139,6 @@ let setup_obs trace stats stats_json =
             with Sys_error e -> prerr_endline ("hsched: cannot write stats: " ^ e))
         | None -> ());
         if stats then Format.eprintf "%a@?" Hs_obs.Metrics.pp_summary snap)
-
-(* Exit-code contract (documented in README.md): 0 success, 1 internal
-   failure, 2 unusable input, 3 infeasible instance, 4 budget
-   exhausted. *)
-let exit_with code msg =
-  prerr_endline ("hsched: " ^ msg);
-  exit code
-
-let exit_err msg = exit_with 1 msg
-let exit_usage msg = exit_with 2 msg
 
 let exit_typed e =
   exit_with (Hs_core.Hs_error.exit_code e) (Hs_core.Hs_error.to_string e)

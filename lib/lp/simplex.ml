@@ -13,10 +13,21 @@
    the leaving row always follows Bland's tie-breaking (minimum ratio,
    ties to the smallest basic column).  Since Bland's rule terminates
    from any basis, the combination terminates even on degenerate
-   problems while keeping Dantzig's practical pivot counts.  Each
-   iteration does one BTRAN (pricing duals through the eta file), one
-   reduced-cost sweep over the sparse columns, and one FTRAN (the
-   entering direction), all O(nnz)-ish.
+   problems while keeping Dantzig's practical pivot counts.
+
+   Pricing is incremental.  Each [optimize] call prices the reduced
+   costs d_j = c_j − y·A_j once, from y = B⁻ᵀc_B.  Each pivot (entering
+   column q, leaving row r) then does one FTRAN (the entering direction)
+   and one BTRAN (ρ = e_rᵀB⁻¹, row r of the inverse) and updates d
+   along the pivot row α_r = ρA: d_j −= θ·α_rj with θ = d_q/α_rq, read
+   row by row from a row-major copy of A over the rows with ρ_i ≠ 0
+   and the nonbasic columns only; then d_q = 0 and d_leaving = −θ.  In
+   exact Q the maintained d equals the re-priced one, so both rules
+   choose the same columns as a full re-pricing every pivot would (the
+   differential suite test/test_pricing_diff.ml holds the engine to
+   that re-pricing engine, kept in test/pricing_oracle.ml).  The float
+   instance shares the code and may drift by rounding; it is never
+   trusted with a certified answer.
 
    Basis lifecycle: a feasibility solve can start from a structural
    {!Basis.t} proposal; the library's only proposer is the float
@@ -49,6 +60,13 @@ module Obs = struct
   let pivots = M.counter "simplex.pivots"
   let degenerate = M.counter "simplex.degenerate_pivots"
   let solves = M.counter "simplex.solves"
+
+  (* Work inside the solves, summed per solve in the core and added
+     here once when the solve ends: matrix entries read to price or
+     update reduced costs, and off-diagonal eta entries read by FTRAN
+     and BTRAN. *)
+  let pricing_entries = M.counter "simplex.pricing_entries"
+  let eta_entries = M.counter "simplex.eta_entries"
 
   let pivots_per_solve =
     M.histogram ~buckets:[ 10; 30; 100; 300; 1_000; 10_000 ] "simplex.pivots_per_solve"
@@ -108,10 +126,13 @@ module Core (F : Field.S) = struct
   }
 
   (* One elementary pivot matrix: applying it to a vector divides the
-     pivot row by [e_piv] and eliminates the off-row entries. *)
-  type eta = { e_row : int; e_piv : F.t; e_off : (int * F.t) array }
+     pivot row by [e_piv] and eliminates the off-row entries, whose
+     rows and values are the parallel arrays [e_idx] (ascending) and
+     [e_val]. *)
+  type eta = { e_row : int; e_piv : F.t; e_idx : int array; e_val : F.t array }
 
   type core = {
+    rows : S.t;  (* A over the FULL standard form, row-major *)
     cols : S.t;
         (* CSR of Aᵀ over the FULL standard form (aux and artificial
            columns included): row [j] of [cols] is column [j] of A. *)
@@ -133,6 +154,8 @@ module Core (F : Field.S) = struct
     xb : F.t array;  (* row → value of the basic variable *)
     mutable etas : eta array;  (* eta file, oldest first, [0, neta) live *)
     mutable neta : int;
+    mutable pricing_entries : int;  (* per-solve sums for Obs *)
+    mutable eta_entries : int;
   }
 
   (* ---- eta file --------------------------------------------------- *)
@@ -147,27 +170,56 @@ module Core (F : Field.S) = struct
     core.etas.(core.neta) <- e;
     core.neta <- core.neta + 1
 
+  (* The eta of a pivot on [row] with column direction [d]. *)
+  let make_eta core (d : F.t array) ~row =
+    let n = ref 0 in
+    for i = 0 to core.nrows - 1 do
+      if i <> row && F.sign d.(i) <> 0 then incr n
+    done;
+    let e_idx = Array.make !n 0 and e_val = Array.make !n F.zero in
+    let k = ref 0 in
+    for i = 0 to core.nrows - 1 do
+      if i <> row && F.sign d.(i) <> 0 then begin
+        e_idx.(!k) <- i;
+        e_val.(!k) <- d.(i);
+        incr k
+      end
+    done;
+    { e_row = row; e_piv = d.(row); e_idx; e_val }
+
   (* FTRAN: v ← B⁻¹ v, applying the etas oldest first. *)
   let ftran core (v : F.t array) =
+    let reads = ref 0 in
     for k = 0 to core.neta - 1 do
       let e = core.etas.(k) in
       let t = F.div v.(e.e_row) e.e_piv in
       v.(e.e_row) <- t;
-      if F.sign t <> 0 then
-        Array.iter (fun (i, dv) -> v.(i) <- F.sub v.(i) (F.mul dv t)) e.e_off
-    done
+      if F.sign t <> 0 then begin
+        let idx = e.e_idx and vals = e.e_val in
+        for m = 0 to Array.length idx - 1 do
+          let i = idx.(m) in
+          v.(i) <- F.sub v.(i) (F.mul vals.(m) t)
+        done;
+        reads := !reads + Array.length idx
+      end
+    done;
+    core.eta_entries <- core.eta_entries + !reads
 
   (* BTRAN: w ← B⁻ᵀ w, applying the etas newest first (transposed). *)
   let btran core (w : F.t array) =
+    let reads = ref 0 in
     for k = core.neta - 1 downto 0 do
       let e = core.etas.(k) in
+      let idx = e.e_idx and vals = e.e_val in
       let acc = ref w.(e.e_row) in
-      Array.iter
-        (fun (i, dv) ->
-          if F.sign w.(i) <> 0 then acc := F.sub !acc (F.mul dv w.(i)))
-        e.e_off;
+      for m = 0 to Array.length idx - 1 do
+        let wi = w.(idx.(m)) in
+        if F.sign wi <> 0 then acc := F.sub !acc (F.mul vals.(m) wi)
+      done;
+      reads := !reads + Array.length idx;
       w.(e.e_row) <- F.div !acc e.e_piv
-    done
+    done;
+    core.eta_entries <- core.eta_entries + !reads
 
   (* The entering column's direction d = B⁻¹ A_col. *)
   let direction core col =
@@ -183,8 +235,51 @@ module Core (F : Field.S) = struct
     btran core y;
     y
 
-  let reduced_cost core cost (y : F.t array) j =
-    F.sub cost.(j) (S.dot_row core.cols j y)
+  (* Reduced costs priced in full from y = B⁻ᵀc_B for the nonbasic
+     columns below [max_col]; every other entry, the basic columns'
+     included, is exactly zero. *)
+  let price core (cost : F.t array) ~max_col =
+    let y = btran_costs core cost in
+    let d = Array.make (Stdlib.max 1 core.ncols) F.zero in
+    let a = core.cols in
+    let reads = ref 0 in
+    for j = 0 to max_col - 1 do
+      if not core.in_basis.(j) then begin
+        d.(j) <- F.sub cost.(j) (S.dot_row a j y);
+        reads := !reads + a.rptr.(j + 1) - a.rptr.(j)
+      end
+    done;
+    core.pricing_entries <- core.pricing_entries + !reads;
+    d
+
+  (* Bring [d] from the current basis to the one after pivoting column
+     [col] in at [row] with direction [dir] (called before the pivot):
+     d ← d − θ·ρA with ρ = e_rowᵀB⁻¹ and θ = d_col/dir_row, row by row
+     over the rows with ρ_i ≠ 0 and only for nonbasic columns below
+     [max_col] (a basic column's pivot-row entry is zero, except the
+     leaving one's, which is one).  Then d_col = 0 and the leaving
+     column's d is −θ. *)
+  let update_prices core (d : F.t array) ~row ~col ~max_col (dir : F.t array) =
+    let theta = F.div d.(col) dir.(row) in
+    let rho = Array.make core.nrows F.zero in
+    rho.(row) <- F.one;
+    btran core rho;
+    let a = core.rows in
+    let reads = ref 0 in
+    for i = 0 to core.nrows - 1 do
+      if F.sign rho.(i) <> 0 then begin
+        let s = F.mul theta rho.(i) in
+        for k = a.rptr.(i) to a.rptr.(i + 1) - 1 do
+          let j = a.cidx.(k) in
+          if j < max_col && not core.in_basis.(j) then
+            d.(j) <- F.sub d.(j) (F.mul s a.vals.(k))
+        done;
+        reads := !reads + a.rptr.(i + 1) - a.rptr.(i)
+      end
+    done;
+    core.pricing_entries <- core.pricing_entries + !reads;
+    d.(col) <- F.zero;
+    d.(core.basis.(row)) <- F.neg theta
 
   (* c·x at the current basis (nonbasic variables are zero). *)
   let objective_value core (cost : F.t array) =
@@ -261,7 +356,6 @@ module Core (F : Field.S) = struct
         rows.(r) <- terms @ aux)
       raw;
     let a = S.of_rows ~nrows ~ncols rows in
-    let cols = S.transpose a in
     let aux_owner = Array.make (Stdlib.max 1 ncols) (-1) in
     Array.iteri
       (fun r info ->
@@ -271,7 +365,8 @@ module Core (F : Field.S) = struct
     let in_basis = Array.make (Stdlib.max 1 ncols) false in
     Array.iter (fun c -> in_basis.(c) <- true) init_basic;
     {
-      cols;
+      rows = a;
+      cols = S.transpose a;
       nrows;
       nvars;
       art_start;
@@ -286,6 +381,8 @@ module Core (F : Field.S) = struct
       xb = Array.copy b;
       etas = [||];
       neta = 0;
+      pricing_entries = 0;
+      eta_entries = 0;
     }
 
   let reset_cold core =
@@ -298,38 +395,24 @@ module Core (F : Field.S) = struct
 
   (* ---- pivoting ----------------------------------------------------- *)
 
-  (* Entering rules over the allowed column range: Bland picks the
-     smallest eligible index (anti-cycling), Dantzig the most negative
-     reduced cost with ties to the earlier column.  Basic columns are
-     skipped — their reduced cost is exactly zero. *)
-  let entering pricing core cost (y : F.t array) ~max_col =
+  (* Entering rules over the allowed column range of the maintained
+     reduced costs: Bland picks the smallest eligible index
+     (anti-cycling), Dantzig the most negative reduced cost with ties to
+     the earlier column.  Basic columns read exactly zero, so neither
+     rule needs to skip them. *)
+  let entering pricing (d : F.t array) ~max_col =
     match pricing with
     | Bland ->
         let rec go j =
-          if j >= max_col then None
-          else if (not core.in_basis.(j)) && F.sign (reduced_cost core cost y j) < 0
-          then Some j
-          else go (j + 1)
+          if j >= max_col then None else if F.sign d.(j) < 0 then Some j else go (j + 1)
         in
         go 0
     | Dantzig ->
-        let best = ref None and bestv = ref F.zero in
+        let best = ref (-1) in
         for j = 0 to max_col - 1 do
-          if not core.in_basis.(j) then begin
-            let v = reduced_cost core cost y j in
-            if F.sign v < 0 then
-              match !best with
-              | None ->
-                  best := Some j;
-                  bestv := v
-              | Some _ ->
-                  if F.compare v !bestv < 0 then begin
-                    best := Some j;
-                    bestv := v
-                  end
-          end
+          if F.sign d.(j) < 0 && (!best < 0 || F.compare d.(j) d.(!best) < 0) then best := j
         done;
-        !best
+        if !best < 0 then None else Some !best
 
   (* Bland leaving rule: minimum ratio, ties by smallest basic column.
      Redundant rows are skipped — their direction component is zero in
@@ -351,14 +434,13 @@ module Core (F : Field.S) = struct
 
   let pivot core ~row ~col (d : F.t array) =
     let t = F.div core.xb.(row) d.(row) in
-    let off = ref [] in
-    for i = core.nrows - 1 downto 0 do
-      if i <> row && F.sign d.(i) <> 0 then begin
-        off := (i, d.(i)) :: !off;
-        if F.sign t <> 0 then core.xb.(i) <- F.sub core.xb.(i) (F.mul d.(i) t)
-      end
-    done;
-    push_eta core { e_row = row; e_piv = d.(row); e_off = Array.of_list !off };
+    let e = make_eta core d ~row in
+    if F.sign t <> 0 then
+      for k = 0 to Array.length e.e_idx - 1 do
+        let i = e.e_idx.(k) in
+        core.xb.(i) <- F.sub core.xb.(i) (F.mul e.e_val.(k) t)
+      done;
+    push_eta core e;
     core.xb.(row) <- t;
     core.in_basis.(core.basis.(row)) <- false;
     core.in_basis.(col) <- true;
@@ -375,19 +457,20 @@ module Core (F : Field.S) = struct
      raised when it runs dry. *)
   let optimize ?(pricing = Dantzig) ?budget ?(on_stall = `Bland) core cost ~max_col =
     let degenerate_limit = (2 * core.ncols) + 16 in
+    let d = price core cost ~max_col in
     let rec go pricing degenerate =
-      let y = btran_costs core cost in
-      match entering pricing core cost y ~max_col with
+      match entering pricing d ~max_col with
       | None -> `Optimal
       | Some col -> (
-          let d = direction core col in
-          match leaving core d with
+          let dir = direction core col in
+          match leaving core dir with
           | None -> `Unbounded
           | Some row ->
               let zero_progress = F.sign core.xb.(row) = 0 in
               charge budget;
               if zero_progress then Hs_obs.Metrics.incr Obs.degenerate;
-              pivot core ~row ~col d;
+              update_prices core d ~row ~col ~max_col dir;
+              pivot core ~row ~col dir;
               if pricing = Bland then go Bland 0
               else if zero_progress then
                 if degenerate + 1 > degenerate_limit then
@@ -501,11 +584,7 @@ module Core (F : Field.S) = struct
       if !best < 0 then false
       else begin
         let r = !best in
-        let off = ref [] in
-        for i = core.nrows - 1 downto 0 do
-          if i <> r && F.sign d.(i) <> 0 then off := (i, d.(i)) :: !off
-        done;
-        push_eta core { e_row = r; e_piv = d.(r); e_off = Array.of_list !off };
+        push_eta core (make_eta core d ~row:r);
         assigned.(r) <- true;
         nbasis.(r) <- col;
         incr placed;
@@ -616,6 +695,17 @@ module Core (F : Field.S) = struct
 
   (* ---- entry points ------------------------------------------------- *)
 
+  (* Build the standard form of [p] and run [f] on it, adding the
+     solve's work counts to the registry when it ends, however it ends
+     (an exhausted budget still records the partial solve). *)
+  let with_core (p : F.t Lp_problem.t) f =
+    let core = build p in
+    Fun.protect
+      ~finally:(fun () ->
+        Hs_obs.Metrics.add Obs.pricing_entries core.pricing_entries;
+        Hs_obs.Metrics.add Obs.eta_entries core.eta_entries)
+      (fun () -> f core)
+
   let costs_of core (objective : (int * F.t) list) =
     let cost = Array.make (Stdlib.max 1 core.ncols) F.zero in
     List.iter (fun (v, c) -> cost.(v) <- F.add cost.(v) c) objective;
@@ -631,7 +721,7 @@ module Core (F : Field.S) = struct
         }
       else p
     in
-    let core = build p in
+    with_core p @@ fun core ->
     if not (fst (phase1 ?pricing ?budget ?on_stall core)) then Infeasible
     else begin
       let cost = costs_of core p.Lp_problem.objective in
@@ -648,8 +738,7 @@ module Core (F : Field.S) = struct
      phase 1 — run from the proposed basis when it was at least a valid
      start, from the cold all-artificial basis otherwise. *)
   let feasible_basis ?pricing ?budget ?on_stall ?warm (p : F.t Lp_problem.t) =
-    let p = { p with Lp_problem.objective = [] } in
-    let core = build p in
+    with_core { p with Lp_problem.objective = [] } @@ fun core ->
     let feasible =
       match try_warm core warm with
       | Warm_witness -> true
@@ -662,8 +751,7 @@ module Core (F : Field.S) = struct
     end
 
   let feasible_certified ?pricing ?budget ?on_stall (p : F.t Lp_problem.t) =
-    let p = { p with Lp_problem.objective = [] } in
-    let core = build p in
+    with_core { p with Lp_problem.objective = [] } @@ fun core ->
     let ok, y = phase1 ?pricing ?budget ?on_stall core in
     if not ok then Infeasible_certificate (row_duals core y)
     else begin
@@ -672,7 +760,7 @@ module Core (F : Field.S) = struct
     end
 
   let solve_certified (p : F.t Lp_problem.t) =
-    let core = build p in
+    with_core p @@ fun core ->
     let ok, y1 = phase1 core in
     if not ok then Certified_infeasible (row_duals core y1)
     else begin
@@ -720,8 +808,11 @@ module Make (F : Field.S) = struct
      to the exact field as a basis proposal.  The guess is re-verified
      by the exact loader, so float noise costs pivots, never
      correctness — in particular a float "infeasible" is never trusted
-     (we just keep the caller's own proposal). *)
-  let presolve_hint (p : F.t Lp_problem.t) warm =
+     (we just keep the caller's own proposal).  The guess's pivots are
+     charged to the caller's [budget] like the exact solve's, so the
+     budget bounds all simplex work and its consumed count equals
+     [simplex.pivots]. *)
+  let presolve_hint ?budget (p : F.t Lp_problem.t) warm =
     Hs_obs.Metrics.incr Obs.presolve_guesses;
     let fp =
       {
@@ -740,7 +831,7 @@ module Make (F : Field.S) = struct
             p.Lp_problem.constrs;
       }
     in
-    match Float_core.feasible_basis ?warm fp with
+    match Float_core.feasible_basis ?budget ?warm fp with
     | Some (_, basis) -> Some basis
     | None -> warm
     | exception Division_by_zero -> warm
@@ -757,7 +848,7 @@ module Make (F : Field.S) = struct
   let feasible_basis ?pricing ?budget ?on_stall ?warm (p : F.t Lp_problem.t) =
     instrumented ~what:"feasible_basis" p @@ fun () ->
     let warm = match warm with Some [] -> None | w -> w in
-    let warm = if !presolve && F.exact then presolve_hint p warm else warm in
+    let warm = if !presolve && F.exact then presolve_hint ?budget p warm else warm in
     C.feasible_basis ?pricing ?budget ?on_stall ?warm p
 
   let feasible_certified ?pricing ?budget ?on_stall p =

@@ -9,30 +9,25 @@ module Make (F : Field.S) = struct
     vals : F.t array;  (* length nnz *)
   }
 
-  (* Build from per-row term lists, summing duplicate column entries and
-     dropping the sums that vanish under the field's zero test. *)
+  (* Build from per-row term lists: a stable sort by column puts the
+     duplicates of a column next to each other in their input order,
+     so one merge pass sums them left to right and drops the sums that
+     vanish under the field's zero test. *)
   let of_rows ~nrows ~ncols rows =
     if Array.length rows <> nrows then invalid_arg "Sparse.of_rows: row count";
-    let acc = Hashtbl.create 16 in
     let cleaned =
       Array.map
         (fun terms ->
-          Hashtbl.reset acc;
-          let order = ref [] in
           List.iter
-            (fun (j, v) ->
-              if j < 0 || j >= ncols then invalid_arg "Sparse.of_rows: column out of range";
-              match Hashtbl.find_opt acc j with
-              | None ->
-                  Hashtbl.add acc j v;
-                  order := j :: !order
-              | Some prev -> Hashtbl.replace acc j (F.add prev v))
+            (fun (j, _) ->
+              if j < 0 || j >= ncols then invalid_arg "Sparse.of_rows: column out of range")
             terms;
-          List.rev !order
-          |> List.filter_map (fun j ->
-                 let v = Hashtbl.find acc j in
-                 if F.is_zero v then None else Some (j, v))
-          |> List.sort (fun (a, _) (b, _) -> Int.compare a b))
+          let rec merge acc = function
+            | (j, v) :: (j', v') :: rest when j = j' -> merge acc ((j, F.add v v') :: rest)
+            | (j, v) :: rest -> merge (if F.is_zero v then acc else (j, v) :: acc) rest
+            | [] -> List.rev acc
+          in
+          merge [] (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) terms))
         rows
     in
     let rptr = Array.make (nrows + 1) 0 in
@@ -49,15 +44,12 @@ module Make (F : Field.S) = struct
       cleaned;
     { nrows; ncols; rptr; cidx; vals }
 
-  let iter_row m r f =
-    for k = m.rptr.(r) to m.rptr.(r + 1) - 1 do
-      f m.cidx.(k) m.vals.(k)
-    done
-
   (* Dot product of row [r] with a dense vector. *)
   let dot_row m r (x : F.t array) =
     let acc = ref F.zero in
-    iter_row m r (fun j v -> acc := F.add !acc (F.mul v x.(j)));
+    for k = m.rptr.(r) to m.rptr.(r + 1) - 1 do
+      acc := F.add !acc (F.mul m.vals.(k) x.(m.cidx.(k)))
+    done;
     !acc
 
   (* Two-pass CSR transpose: counting sort by column, stable within a
@@ -84,5 +76,8 @@ module Make (F : Field.S) = struct
     { nrows = m.ncols; ncols = m.nrows; rptr; cidx; vals }
 
   (* Scatter row [r] into a dense vector (previously cleared). *)
-  let scatter_row m r (d : F.t array) = iter_row m r (fun j v -> d.(j) <- v)
+  let scatter_row m r (d : F.t array) =
+    for k = m.rptr.(r) to m.rptr.(r + 1) - 1 do
+      d.(m.cidx.(k)) <- m.vals.(k)
+    done
 end

@@ -30,4 +30,5 @@ let () =
       Test_check.suite;
       Test_online.suite;
       Test_revised.suite;
+      Test_pricing_diff.suite;
     ]
