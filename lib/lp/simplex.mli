@@ -13,8 +13,12 @@
     eta file for the basis inverse, and a feasibility solve can start
     from a proposed structural {!Basis.t} (see {!Make.feasible_basis});
     the library's only proposer is the float pre-solve of
-    {!set_presolve}.  The differential suite checks results and
-    certificates against a dense tableau kept in [test/dense_oracle.ml]. *)
+    {!set_presolve}.  Reduced costs are priced once per phase and then
+    updated along each pivot row; in exact arithmetic this takes the
+    same pivots as re-pricing every column each pivot.  The
+    differential suites check results and certificates against a dense
+    tableau kept in [test/dense_oracle.ml], and pivots against the full
+    re-pricing engine kept in [test/pricing_oracle.ml]. *)
 
 type budget = {
   mutable pivots_left : int;
@@ -42,8 +46,9 @@ val set_presolve : bool -> unit
 (** Whether exact {!Make.feasible_basis} solves first guess a basis with
     a floating-point solve and propose it, promoted to exact Q, as their
     starting basis (the guess is always re-verified exactly; a float
-    "infeasible" is never trusted).  Process-wide and off by default;
-    the CLI's [--lp-presolve] enables it. *)
+    "infeasible" is never trusted).  The guess's pivots are charged to
+    the solve's [budget].  Process-wide and off by default; the CLI's
+    [--lp-presolve] enables it. *)
 
 module Make (F : Field.S) : sig
   type solution = {
