@@ -121,7 +121,7 @@ let robust ?(lp = true) (r : A.robust_outcome) =
                   "no LP-feasible horizon exists yet a schedule was produced";
               ]
         else []
-    | A.Lp_approx _ ->
+    | A.Lp_approx ->
         (if lp then Check.lp_lower_bound inst ~t_lp:r.r_lower_bound else [])
         @ Check.theorem_v2 ~t_lp:r.r_lower_bound ~makespan:r.r_makespan
   in

@@ -44,24 +44,23 @@ module Make (F : Hs_lp.Field.S) = struct
   }
 
   (** The budget-aware pipeline.  Raises {!Hs_error.Error} on any typed
-      failure (infeasibility, budget exhaustion, LP stall, broken
-      invariant); [trip] is the fault-injection hook, fired on entry to
-      each stage. *)
-  let solve_x ?pricing ?pivots ?(on_stall = `Bland) ?iters
-      ?(trip = fun (_ : Hs_error.stage) -> ()) inst : outcome =
+      failure (infeasibility, budget exhaustion, broken invariant);
+      [trip] is the fault-injection hook, fired on entry to each
+      stage. *)
+  let solve_x ?pivots ?(trip = fun (_ : Hs_error.stage) -> ()) inst : outcome =
     Hs_obs.Tracer.with_span ~cat:"pipeline"
       ~args:[ ("jobs", Hs_obs.Tracer.Int (Instance.njobs inst)) ]
       "pipeline.solve"
     @@ fun () ->
     let closed, translate = Instance.with_singletons inst in
-    match I.min_feasible_t_x ?pricing ?pivots ~on_stall ?iters ~trip closed with
+    match I.min_feasible_t_x ?pivots ~trip closed with
     | None ->
         Hs_error.raise_
           (Infeasible
              { reason = "no feasible horizon (some job has no finite mask)"; certified = false })
     | Some (t_lp, _frac) -> (
         let iu = unrelated_restriction closed in
-        match I.lp_feasible_x ?pricing ?pivots ~on_stall ~trip iu ~tmax:t_lp with
+        match I.lp_feasible_x ?pivots ~trip iu ~tmax:t_lp with
         | None ->
             (* Contradicts Lemma V.1: the hierarchical LP was feasible. *)
             Hs_error.raise_
@@ -140,23 +139,20 @@ let solve_general (g : General_instance.t) : (general_outcome, string) result =
 
     [solve_robust] wraps the exact branch and bound and the Theorem V.2
     pipeline behind deterministic resource budgets with graceful
-    degradation: exact (when a node budget is given) → LP + LST rounding
-    under Dantzig pricing → the same under Bland's rule after a pricing
-    stall.  Every schedule that leaves this function has been re-checked
-    by {!Hs_model.Schedule.validate} and carries the provenance of the
-    path that produced it. *)
+    degradation: exact (when a node budget is given) → LP + LST
+    rounding.  Every schedule that leaves this function has been
+    re-checked by {!Hs_model.Schedule.validate} and carries the
+    provenance of the path that produced it. *)
 
 type provenance =
   | Exact_optimal  (** proven optimum from branch and bound *)
-  | Lp_approx of { pricing : [ `Dantzig | `Bland ]; restarted : bool }
-      (** the 2-approximation; [restarted] after a fallback *)
+  | Lp_approx  (** the 2-approximation *)
 
+(* The LP path runs the simplex's default Dantzig pricing, whose switch
+   to Bland's rule on a degenerate run is internal to each solve. *)
 let provenance_to_string = function
   | Exact_optimal -> "exact (branch and bound, proven optimal)"
-  | Lp_approx { pricing; restarted } ->
-      Printf.sprintf "lp-rounding 2-approximation (%s pricing%s)"
-        (match pricing with `Dantzig -> "dantzig" | `Bland -> "bland")
-        (if restarted then ", after fallback" else "")
+  | Lp_approx -> "lp-rounding 2-approximation (dantzig pricing)"
 
 type robust_outcome = {
   r_instance : Instance.t;
@@ -170,14 +166,15 @@ type robust_outcome = {
   r_fallbacks : Hs_error.t list;
       (** degradations taken before the successful path, oldest first *)
   r_consumed : Budget.t;
-      (** resources actually spent by the metered stages: [Some] only for
-          the dimensions the caller budgeted (branch-and-bound nodes are
-          reported by {!Exact.stats}, not metered here) *)
+      (** pivots actually spent by the LP stages: [lp_pivots] is [Some]
+          only when the caller budgeted pivots, and [bb_nodes] is always
+          [None] (branch-and-bound nodes are reported by {!Exact.stats},
+          not metered here) *)
 }
 
 let solve_robust ?(budget = Budget.unlimited) ?(on_exhausted = `Fallback) ?inject inst :
     (robust_outcome, Hs_error.t) result =
-  let meter = Budget.meter budget in
+  let pivots = Option.map Hs_lp.Simplex.budget budget.Budget.lp_pivots in
   (* Fault injection: the first time the pipeline enters [inject]'s
      stage, behave exactly as if the budget ran out there. *)
   let injected = ref inject in
@@ -188,8 +185,7 @@ let solve_robust ?(budget = Budget.unlimited) ?(on_exhausted = `Fallback) ?injec
         Hs_error.raise_ (Budget_exhausted { stage; detail = "injected fault" })
     | _ -> ()
   in
-  let fallbacks = ref [] in
-  let certify ~provenance ~lower_bound ~instance ~assignment ~makespan ~schedule =
+  let certify ~fallbacks ~provenance ~lower_bound ~instance ~assignment ~makespan ~schedule =
     match Schedule.validate instance assignment schedule with
     | Error e -> Hs_error.raise_ (Internal ("re-certification failed: " ^ e))
     | Ok () ->
@@ -200,8 +196,8 @@ let solve_robust ?(budget = Budget.unlimited) ?(on_exhausted = `Fallback) ?injec
           r_lower_bound = lower_bound;
           r_schedule = schedule;
           r_provenance = provenance;
-          r_fallbacks = List.rev !fallbacks;
-          r_consumed = Budget.consumed meter;
+          r_fallbacks = fallbacks;
+          r_consumed = Budget.consumed pivots;
         }
   in
   let exact_attempt () =
@@ -213,48 +209,23 @@ let solve_robust ?(budget = Budget.unlimited) ?(on_exhausted = `Fallback) ?injec
         match Hierarchical.schedule inst assignment ~tmax:span with
         | Error e -> Hs_error.raise_ (Internal ("scheduler failed on exact assignment: " ^ e))
         | Ok schedule ->
-            certify ~provenance:Exact_optimal ~lower_bound:span ~instance:inst ~assignment
-              ~makespan:span ~schedule)
+            certify ~fallbacks:[] ~provenance:Exact_optimal ~lower_bound:span ~instance:inst
+              ~assignment ~makespan:span ~schedule)
   in
-  let lp_attempt pricing ~restarted () =
-    let spricing =
-      match pricing with
-      | `Dantzig -> Exact.I.Solver.Dantzig
-      | `Bland -> Exact.I.Solver.Bland
-    in
-    (* Under Dantzig, surface a degeneracy stall as a typed error so the
-       chain restarts with Bland's rule; Bland needs no guard. *)
-    let on_stall = match pricing with `Dantzig -> `Fail | `Bland -> `Bland in
-    let o =
-      Exact.solve_x ~pricing:spricing ?pivots:meter.Budget.pivots ~on_stall
-        ?iters:meter.Budget.iters ~trip inst
-    in
-    certify
-      ~provenance:(Lp_approx { pricing; restarted })
-      ~lower_bound:o.Exact.t_lp ~instance:o.Exact.instance ~assignment:o.Exact.assignment
-      ~makespan:o.Exact.makespan ~schedule:o.Exact.schedule
-  in
-  let recoverable = function
-    | Hs_error.Lp_stall _ -> true
-    | Hs_error.Budget_exhausted _ -> on_exhausted = `Fallback
-    | _ -> false
-  in
-  let rec run = function
-    | [] -> Error (Hs_error.Internal "no solver attempts configured")
-    | [ attempt ] -> ( try Ok (attempt ()) with Hs_error.Error e -> Error e)
-    | attempt :: rest -> (
-        try Ok (attempt ())
-        with Hs_error.Error e ->
-          if recoverable e then begin
-            fallbacks := e :: !fallbacks;
-            run rest
-          end
-          else Error e)
+  let lp_attempt ~fallbacks =
+    let o = Exact.solve_x ?pivots ~trip inst in
+    certify ~fallbacks ~provenance:Lp_approx ~lower_bound:o.Exact.t_lp
+      ~instance:o.Exact.instance ~assignment:o.Exact.assignment ~makespan:o.Exact.makespan
+      ~schedule:o.Exact.schedule
   in
   let result =
-    run
-      ((match meter.Budget.nodes with Some _ -> [ exact_attempt ] | None -> [])
-      @ [ lp_attempt `Dantzig ~restarted:false; lp_attempt `Bland ~restarted:true ])
+    Hs_error.guard (fun () ->
+        match budget.Budget.bb_nodes with
+        | None -> lp_attempt ~fallbacks:[]
+        | Some _ -> (
+            try exact_attempt ()
+            with Hs_error.Error (Budget_exhausted _ as e) when on_exhausted = `Fallback ->
+              lp_attempt ~fallbacks:[ e ]))
   in
-  Budget.record_metrics budget meter;
+  Budget.record_metrics pivots;
   result

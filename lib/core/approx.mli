@@ -85,18 +85,20 @@ val solve_general : General_instance.t -> (general_outcome, string) result
 
     {!solve_robust} runs the solvers behind deterministic resource
     budgets with graceful degradation: exact branch and bound (when a
-    node budget is configured) → LP + LST rounding under Dantzig pricing
-    → the same under Bland's rule after a pricing stall.  Every returned
-    schedule has been re-certified by {!Hs_model.Schedule.validate} and
-    is tagged with the provenance of the path that produced it. *)
+    node budget is configured) → LP + LST rounding.  The LP path needs
+    no stall policy of its own: each simplex solve switches from
+    Dantzig to Bland's rule in place after a degenerate run
+    ({!Hs_lp.Simplex}), so it terminates.  Every returned schedule has
+    been re-certified by {!Hs_model.Schedule.validate} and is tagged
+    with the provenance of the path that produced it. *)
 
 type provenance =
   | Exact_optimal  (** proven optimum from branch and bound *)
-  | Lp_approx of { pricing : [ `Dantzig | `Bland ]; restarted : bool }
-      (** the 2-approximation ([makespan ≤ 2·T*]); [restarted] after a
-          fallback *)
+  | Lp_approx  (** the 2-approximation ([makespan ≤ 2·T*]) *)
 
 val provenance_to_string : provenance -> string
+(** [Lp_approx] prints as [lp-rounding 2-approximation (dantzig
+    pricing)], the simplex's default pricing. *)
 
 type robust_outcome = {
   r_instance : Instance.t;
@@ -110,9 +112,10 @@ type robust_outcome = {
   r_fallbacks : Hs_error.t list;
       (** degradations taken before the successful path, oldest first *)
   r_consumed : Budget.t;
-      (** resources actually spent by the metered stages: [Some] only for
-          the dimensions the caller budgeted (branch-and-bound nodes are
-          reported by {!Exact.stats}, not metered here) *)
+      (** pivots actually spent by the LP stages: [lp_pivots] is [Some]
+          only when the caller budgeted pivots, and [bb_nodes] is always
+          [None] (branch-and-bound nodes are reported by {!Exact.stats},
+          not metered here) *)
 }
 
 val solve_robust :
@@ -122,9 +125,10 @@ val solve_robust :
   Instance.t ->
   (robust_outcome, Hs_error.t) result
 (** Solve under a resource budget.  With [`Fallback] (the default) a
-    budget exhaustion degrades to the next path in the chain; with
-    [`Fail] it surfaces as [Error (Budget_exhausted _)].  A Dantzig
-    pricing stall always restarts under Bland's rule.  [inject] is the
+    branch-and-bound exhaustion degrades to the LP path; with [`Fail] it
+    surfaces as [Error (Budget_exhausted _)].  The LP path is the last
+    one, so an exhaustion there always surfaces, naming the horizon
+    where the shared pivot allowance ran out.  [inject] is the
     fault-injection hook of the test harness: the first time the
     pipeline enters that stage it behaves exactly as if its budget ran
     out there. *)

@@ -1,29 +1,26 @@
 (** Deterministic resource budgets for the solver pipeline.
 
-    A budget caps the three unbounded loops of the pipeline — simplex
-    pivots, branch-and-bound nodes, and binary-search iterations — so a
-    pathological instance degrades or fails in bounded time instead of
-    wedging the process.  Budgets are plain counters, so every run is
-    reproducible: the same instance with the same budget exhausts at the
-    same point. *)
+    A budget caps the two unbounded loops of the pipeline — simplex
+    pivots and branch-and-bound nodes — so a pathological instance
+    degrades or fails in bounded time instead of wedging the process.
+    The horizon search needs no cap of its own: it is logarithmic, and
+    every probe's pivots are charged to the same allowance.  Budgets
+    are plain counters, so every run is reproducible: the same instance
+    with the same budget exhausts at the same point. *)
 
 type t = {
   lp_pivots : int option;  (** total simplex pivots across all LP solves *)
   bb_nodes : int option;  (** branch-and-bound nodes expanded *)
-  search_iters : int option;  (** binary-search probes over the horizon *)
 }
 
-let unlimited = { lp_pivots = None; bb_nodes = None; search_iters = None }
+let unlimited = { lp_pivots = None; bb_nodes = None }
 
-let v ?lp_pivots ?bb_nodes ?search_iters () = { lp_pivots; bb_nodes; search_iters }
+let v ?lp_pivots ?bb_nodes () = { lp_pivots; bb_nodes }
 
-(* The CLI's single --budget knob: K units buy K pivots and K nodes;
-   the binary search is already logarithmic so it stays uncapped. *)
+(* The CLI's single --budget knob: K units buy K pivots and K nodes. *)
 let of_units k =
   let k = Stdlib.max 0 k in
-  { lp_pivots = Some k; bb_nodes = Some k; search_iters = None }
-
-let is_unlimited b = b.lp_pivots = None && b.bb_nodes = None && b.search_iters = None
+  { lp_pivots = Some k; bb_nodes = Some k }
 
 (* A wall-clock deadline cannot be enforced deterministically, so the
    service converts it into budget units at a fixed exchange rate: the
@@ -47,51 +44,17 @@ let meet a b =
     | None, c | c, None -> c
     | Some p, Some q -> Some (Stdlib.min p q)
   in
-  {
-    lp_pivots = dim a.lp_pivots b.lp_pivots;
-    bb_nodes = dim a.bb_nodes b.bb_nodes;
-    search_iters = dim a.search_iters b.search_iters;
-  }
+  { lp_pivots = dim a.lp_pivots b.lp_pivots; bb_nodes = dim a.bb_nodes b.bb_nodes }
 
-type counted = { mutable left : int; total : int }
+(* Spent-so-far view of the shared pivot allowance.  Node consumption
+   lives in the branch-and-bound stats (the budget only hands the limit
+   over), so it is reported as [None] here. *)
+let consumed pivots =
+  { lp_pivots = Option.map Hs_lp.Simplex.consumed pivots; bb_nodes = None }
 
-type meter = {
-  pivots : Hs_lp.Simplex.budget option;
-      (** shared mutable pivot allowance, threaded into every LP solve *)
-  iters : counted option;  (** remaining binary-search probes *)
-  nodes : int option;  (** node limit handed to branch and bound *)
-}
-
-let meter b =
-  {
-    pivots = Option.map Hs_lp.Simplex.budget b.lp_pivots;
-    iters = Option.map (fun k -> { left = k; total = k }) b.search_iters;
-    nodes = b.bb_nodes;
-  }
-
-(* Spent-so-far view of a live meter.  Node consumption lives in the
-   branch-and-bound stats (the meter only hands the limit over), so it
-   is reported as [None] here. *)
-let consumed m =
-  {
-    lp_pivots = Option.map Hs_lp.Simplex.consumed m.pivots;
-    bb_nodes = None;
-    search_iters = Option.map (fun c -> c.total - c.left) m.iters;
-  }
-
-let record_metrics b m =
-  let publish resource ~limit ~used =
-    match (limit, used) with
-    | Some limit, Some used ->
-        Hs_obs.Metrics.set (Hs_obs.Metrics.gauge ("budget." ^ resource ^ ".limit")) limit;
-        Hs_obs.Metrics.set (Hs_obs.Metrics.gauge ("budget." ^ resource ^ ".consumed")) used
-    | _ -> ()
-  in
-  let c = consumed m in
-  publish "pivots" ~limit:b.lp_pivots ~used:c.lp_pivots;
-  publish "iters" ~limit:b.search_iters ~used:c.search_iters
-
-let pp fmt b =
-  let f name = function None -> name ^ "=∞" | Some k -> Printf.sprintf "%s=%d" name k in
-  Format.fprintf fmt "{%s %s %s}" (f "pivots" b.lp_pivots) (f "nodes" b.bb_nodes)
-    (f "iters" b.search_iters)
+let record_metrics = function
+  | None -> ()
+  | Some p ->
+      Hs_obs.Metrics.set (Hs_obs.Metrics.gauge "budget.pivots.limit") p.Hs_lp.Simplex.total;
+      Hs_obs.Metrics.set (Hs_obs.Metrics.gauge "budget.pivots.consumed")
+        (Hs_lp.Simplex.consumed p)

@@ -1,23 +1,21 @@
 (** Deterministic resource budgets for the solver pipeline.
 
-    Caps the three unbounded loops — simplex pivots, branch-and-bound
-    nodes, binary-search iterations.  [None] means unlimited.  Budgets
-    are plain counters, so exhaustion is reproducible. *)
+    A budget is a pair: simplex pivots and branch-and-bound nodes, the
+    two unbounded loops.  [None] means unlimited.  The logarithmic
+    horizon search has no cap of its own; its probes spend the pivot
+    allowance.  Budgets are plain counters, so exhaustion is
+    reproducible. *)
 
 type t = {
   lp_pivots : int option;  (** total simplex pivots across all LP solves *)
   bb_nodes : int option;  (** branch-and-bound nodes expanded *)
-  search_iters : int option;  (** binary-search probes over the horizon *)
 }
 
 val unlimited : t
-val v : ?lp_pivots:int -> ?bb_nodes:int -> ?search_iters:int -> unit -> t
+val v : ?lp_pivots:int -> ?bb_nodes:int -> unit -> t
 
 val of_units : int -> t
-(** The CLI's single [--budget K] knob: [K] pivots and [K] nodes; the
-    (logarithmic) binary search stays uncapped. *)
-
-val is_unlimited : t -> bool
+(** The CLI's single [--budget K] knob: [K] pivots and [K] nodes. *)
 
 val of_deadline_ms : units_per_ms:int -> int -> t
 (** Deterministic deadline-to-budget exchange: a client deadline of
@@ -32,29 +30,14 @@ val meet : t -> t -> t
 (** Pointwise minimum of two budgets ([None] = unlimited): the tighter
     cap wins in each dimension. *)
 
-type counted = { mutable left : int; total : int }
-(** A decrementing allowance that remembers its initial size, so
-    consumption ("used X of Y") is always reportable. *)
+val consumed : Hs_lp.Simplex.budget option -> t
+(** How much of a live pivot allowance, shared by every LP call of one
+    solve, has been spent so far: [lp_pivots = Some spent] when there is
+    an allowance, [None] when pivots are unlimited.  [bb_nodes] is
+    always [None]: branch-and-bound node consumption is reported by the
+    solver itself ({!Exact.stats}). *)
 
-(** A live meter instantiates a budget's counters for one solve: the
-    pivot allowance is shared (mutably) by every LP call of the run. *)
-type meter = {
-  pivots : Hs_lp.Simplex.budget option;
-  iters : counted option;
-  nodes : int option;
-}
-
-val meter : t -> meter
-
-val consumed : meter -> t
-(** How much of each {e metered} allowance has been spent so far:
-    [Some spent] for the dimensions the budget capped, [None] for
-    unlimited ones.  Branch-and-bound node consumption is reported by
-    the solver itself ({!Exact.stats}), not the meter. *)
-
-val record_metrics : t -> meter -> unit
-(** Publish the meter to the {!Hs_obs.Metrics} registry as
-    [budget.<resource>.limit] / [budget.<resource>.consumed] gauges
-    (metered dimensions only). *)
-
-val pp : Format.formatter -> t -> unit
+val record_metrics : Hs_lp.Simplex.budget option -> unit
+(** Publish a live pivot allowance to the {!Hs_obs.Metrics} registry as
+    the [budget.pivots.limit] / [budget.pivots.consumed] gauges;
+    nothing when pivots are unlimited. *)

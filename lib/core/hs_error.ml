@@ -17,9 +17,6 @@ type stage =
 type t =
   | Parse_error of string  (** malformed instance text *)
   | Invalid_instance of string  (** well-formed text, invalid model *)
-  | Lp_stall of { pricing : string }
-      (** Dantzig pricing hit the degenerate-pivot threshold under
-          [~on_stall:`Fail]; restarting under Bland's rule terminates *)
   | Budget_exhausted of { stage : stage; detail : string }
       (** a deterministic resource budget ran out at [stage] *)
   | Infeasible of { reason : string; certified : bool }
@@ -57,7 +54,6 @@ let stage_name = function
 let to_string = function
   | Parse_error msg -> Printf.sprintf "parse error: %s" msg
   | Invalid_instance msg -> Printf.sprintf "invalid instance: %s" msg
-  | Lp_stall { pricing } -> Printf.sprintf "lp stall: %s pricing made no progress" pricing
   | Budget_exhausted { stage; detail } ->
       Printf.sprintf "budget exhausted [%s]: %s" (stage_name stage) detail
   | Infeasible { reason; certified } ->
@@ -84,7 +80,7 @@ let exit_code = function
   | Overloaded _ -> 5
   | Deadline_exceeded _ -> 6
   | Unavailable _ -> 7
-  | Lp_stall _ | Verification _ | Internal _ -> 1
+  | Verification _ | Internal _ -> 1
 
 (** Run [f], turning a raised {!Error} into [Error]. *)
 let guard f = try Ok (f ()) with Error e -> Error e

@@ -1,9 +1,9 @@
 (** Typed errors for the solver pipeline.
 
     The pipeline reports failures as values of {!t} instead of ad-hoc
-    [failwith] strings: callers branch on the kind of failure (retry on
-    a stall, degrade on budget exhaustion, reject on a parse error) and
-    each kind carries a stable CLI exit code ({!exit_code}). *)
+    [failwith] strings: callers branch on the kind of failure (degrade
+    on budget exhaustion, reject on a parse error) and each kind carries
+    a stable CLI exit code ({!exit_code}). *)
 
 type stage =
   | Parse  (** reading an instance from text *)
@@ -17,9 +17,6 @@ type stage =
 type t =
   | Parse_error of string  (** malformed instance text *)
   | Invalid_instance of string  (** well-formed text, invalid model *)
-  | Lp_stall of { pricing : string }
-      (** Dantzig pricing hit the degenerate-pivot threshold under
-          [~on_stall:`Fail]; restarting under Bland's rule terminates *)
   | Budget_exhausted of { stage : stage; detail : string }
       (** a deterministic resource budget ran out at [stage] *)
   | Infeasible of { reason : string; certified : bool }

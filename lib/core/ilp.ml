@@ -95,11 +95,10 @@ module Make (F : Hs_lp.Field.S) = struct
   (** Budget-aware LP feasibility of (IP-3) at horizon [tmax]: one cold
       {!Solver.feasible_basis} solve (under [--lp-presolve] the solver
       proposes its own float-guessed basis).  Raises {!Hs_error.Error}
-      on pivot-budget exhaustion or (under [~on_stall:`Fail]) on a
-      Dantzig pricing stall; [trip] is the fault-injection hook, called
-      on entry with {!Hs_error.Lp}. *)
-  let lp_feasible_x ?pricing ?pivots ?(on_stall = `Bland)
-      ?(trip = fun (_ : Hs_error.stage) -> ()) inst ~tmax : frac option =
+      on pivot-budget exhaustion; [trip] is the fault-injection hook,
+      called on entry with {!Hs_error.Lp}. *)
+  let lp_feasible_x ?pivots ?(trip = fun (_ : Hs_error.stage) -> ()) inst ~tmax :
+      frac option =
     trip Hs_error.Lp;
     Hs_obs.Metrics.incr Obs.lp_solves;
     Hs_obs.Tracer.with_span ~cat:"lp" ~args:[ ("T", Hs_obs.Tracer.Int tmax) ] "lp.feasible"
@@ -108,22 +107,20 @@ module Make (F : Hs_lp.Field.S) = struct
     | None -> None
     | Some (lp, var_of) -> (
         let sol =
-          try Option.map fst (Solver.feasible_basis ?pricing ?budget:pivots ~on_stall lp)
-          with
-          | Hs_lp.Simplex.Pivot_limit ->
-              Hs_error.raise_
-                (Budget_exhausted
-                   {
-                     stage = Lp;
-                     detail =
-                       Printf.sprintf "simplex pivot budget ran out at T=%d%s" tmax
-                         (match pivots with
-                         | Some b ->
-                             Printf.sprintf " (used %d of %d pivots)"
-                               (Hs_lp.Simplex.consumed b) b.Hs_lp.Simplex.total
-                         | None -> "");
-                   })
-          | Hs_lp.Simplex.Stall -> Hs_error.raise_ (Lp_stall { pricing = "dantzig" })
+          try Option.map fst (Solver.feasible_basis ?budget:pivots lp)
+          with Hs_lp.Simplex.Pivot_limit ->
+            Hs_error.raise_
+              (Budget_exhausted
+                 {
+                   stage = Lp;
+                   detail =
+                     Printf.sprintf "simplex pivot budget ran out at T=%d%s" tmax
+                       (match pivots with
+                       | Some b ->
+                           Printf.sprintf " (used %d of %d pivots)"
+                             (Hs_lp.Simplex.consumed b) b.Hs_lp.Simplex.total
+                       | None -> "");
+                 })
         in
         match sol with
         | None -> None
@@ -176,33 +173,16 @@ module Make (F : Hs_lp.Field.S) = struct
         | Solver.Infeasible_certificate y -> Solver.check_farkas lp y)
 
   (** Budget-aware binary search for the minimal LP-feasible horizon.
-      Each probe charges one search iteration (raising on exhaustion) and
-      fires the [trip] hook with {!Hs_error.Search}; the pivot budget and
-      stall policy are threaded into every probe's LP solve. *)
-  let min_feasible_t_x ?pricing ?pivots ?on_stall ?iters
-      ?(trip = fun (_ : Hs_error.stage) -> ()) inst : (int * frac) option =
-    let charge_iter () =
-      match iters with
-      | None -> ()
-      | Some (c : Budget.counted) ->
-          if c.left <= 0 then
-            Hs_error.raise_
-              (Budget_exhausted
-                 {
-                   stage = Search;
-                   detail =
-                     Printf.sprintf "binary-search iteration budget ran out (used %d of %d probes)"
-                       (c.total - c.left) c.total;
-                 })
-          else c.left <- c.left - 1
-    in
+      Each probe fires the [trip] hook with {!Hs_error.Search}; the
+      pivot budget is threaded into every probe's LP solve. *)
+  let min_feasible_t_x ?pivots ?(trip = fun (_ : Hs_error.stage) -> ()) inst :
+      (int * frac) option =
     match t_bounds inst with
     | None -> None
     | Some (lo, hi) ->
         let rec search lo hi best =
           if lo > hi then best
           else begin
-            charge_iter ();
             trip Hs_error.Search;
             let mid = (lo + hi) / 2 in
             Hs_obs.Metrics.incr Obs.probes;
@@ -211,7 +191,7 @@ module Make (F : Hs_lp.Field.S) = struct
                 ~args:[ ("T", Hs_obs.Tracer.Int mid) ]
                 "search.probe"
                 (fun () ->
-                  let r = lp_feasible_x ?pricing ?pivots ?on_stall ~trip inst ~tmax:mid in
+                  let r = lp_feasible_x ?pivots ~trip inst ~tmax:mid in
                   Hs_obs.Tracer.add_args
                     [ ("feasible", Hs_obs.Tracer.Bool (Option.is_some r)) ];
                   r)

@@ -5,7 +5,9 @@
     picks one mask (3·assignment), and every set's subtree volume fits
     its aggregate capacity (3a).  Functorised over the coefficient field:
     {!Hs_lp.Field.Exact} certifies answers, {!Hs_lp.Field.Float} trades
-    certification for speed. *)
+    certification for speed.  The budget-aware [_x] entry points meter
+    pivots against a shared allowance; degeneracy is left to the
+    simplex, which switches to Bland's rule in place. *)
 
 open Hs_model
 
@@ -27,20 +29,18 @@ module Make (F : Hs_lp.Field.S) : sig
   (** A {e basic} fractional solution at horizon [tmax], or [None]. *)
 
   val lp_feasible_x :
-    ?pricing:Solver.pricing ->
     ?pivots:Hs_lp.Simplex.budget ->
-    ?on_stall:[ `Bland | `Fail ] ->
     ?trip:(Hs_error.stage -> unit) ->
     Instance.t ->
     tmax:int ->
     frac option
   (** Budget-aware {!lp_feasible}: raises {!Hs_error.Error} with
-      [Budget_exhausted] when the shared pivot allowance runs out, or
-      [Lp_stall] under [~on_stall:`Fail].  [trip] is the fault-injection
-      hook, fired on entry with {!Hs_error.Lp}.  Every call is one cold
-      {!Hs_lp.Simplex.Make.feasible_basis} solve; the only basis it is
-      ever proposed is the solver's own float guess under
-      {!Hs_lp.Simplex.set_presolve}. *)
+      [Budget_exhausted] when the shared pivot allowance runs out; the
+      message names [tmax], the horizon where it ran out.  [trip] is
+      the fault-injection hook, fired on entry with {!Hs_error.Lp}.
+      Every call is one cold {!Hs_lp.Simplex.Make.feasible_basis}
+      solve; the only basis it is ever proposed is the solver's own
+      float guess under {!Hs_lp.Simplex.set_presolve}. *)
 
   val t_bounds : Instance.t -> (int * int) option
   (** Certified search bounds [(lo, hi)] for the minimal feasible
@@ -73,17 +73,13 @@ module Make (F : Hs_lp.Field.S) : sig
       cold), so it is the same vertex too. *)
 
   val min_feasible_t_x :
-    ?pricing:Solver.pricing ->
     ?pivots:Hs_lp.Simplex.budget ->
-    ?on_stall:[ `Bland | `Fail ] ->
-    ?iters:Budget.counted ->
     ?trip:(Hs_error.stage -> unit) ->
     Instance.t ->
     (int * frac) option
-  (** Budget-aware {!min_feasible_t}: every probe charges one iteration
-      from [iters] and fires [trip] with {!Hs_error.Search} before
-      delegating to {!lp_feasible_x} with the shared pivot budget.
-      Raises {!Hs_error.Error} on exhaustion or stall. *)
+  (** Budget-aware {!min_feasible_t}: every probe fires [trip] with
+      {!Hs_error.Search} before delegating to {!lp_feasible_x} with the
+      shared pivot budget.  Raises {!Hs_error.Error} on exhaustion. *)
 
   val certified_infeasible : Instance.t -> tmax:int -> bool
   (** [true] iff the relaxation at [tmax] is infeasible {e and} the

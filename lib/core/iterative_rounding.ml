@@ -48,13 +48,10 @@ type outcome = {
           positive count flags that the structural guarantee failed) *)
 }
 
-let solve_checked ?pivots ?(fail_on_stall = false) (p : problem) (policy : policy) :
-    (outcome, Hs_error.t) result =
-  let err fmt = Printf.ksprintf (fun s -> Error (Hs_error.Internal s)) fmt in
-  let on_stall = if fail_on_stall then `Fail else `Bland in
+let solve (p : problem) (policy : policy) : (outcome, string) result =
   let nrows = Array.length p.bounds in
   if Array.exists (fun b -> Q.sign b <= 0) p.bounds then
-    Error (Hs_error.Invalid_instance "iterative_rounding: bounds must be positive")
+    Error "invalid instance: iterative_rounding: bounds must be positive"
   else begin
     let choice = Array.make p.njobs (-1) in
     let active_rows = Array.make nrows true in
@@ -120,19 +117,7 @@ let solve_checked ?pivots ?(fail_on_stall = false) (p : problem) (policy : polic
                   end)
                 (List.init nrows (fun l -> l))
             in
-            let sol =
-              try Solver.feasible ?budget:pivots ~on_stall (LP.make ~nvars:nv (assign_cs @ pack_cs))
-              with
-              | Hs_lp.Simplex.Pivot_limit ->
-                  Hs_error.raise_
-                    (Budget_exhausted
-                       {
-                         stage = Rounding;
-                         detail = "simplex pivot budget ran out in a residual LP";
-                       })
-              | Hs_lp.Simplex.Stall -> Hs_error.raise_ (Lp_stall { pricing = "dantzig" })
-            in
-            match sol with
+            match Solver.feasible (LP.make ~nvars:nv (assign_cs @ pack_cs)) with
             | None -> raise (Fail "iterative_rounding: residual LP infeasible")
             | Some sol ->
                 let progress = ref false in
@@ -217,10 +202,5 @@ let solve_checked ?pivots ?(fail_on_stall = false) (p : problem) (policy : polic
           rounds = !rounds;
           fallback_drops = !fallback;
         }
-    with
-    | Fail msg -> err "%s" msg
-    | Hs_error.Error e -> Error e
+    with Fail msg -> Error ("internal error: " ^ msg)
   end
-
-let solve ?pivots (p : problem) (policy : policy) : (outcome, string) result =
-  Result.map_error Hs_error.to_string (solve_checked ?pivots p policy)

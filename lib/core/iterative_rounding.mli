@@ -38,19 +38,8 @@ type outcome = {
           that the structural guarantee failed (expected 0) *)
 }
 
-val solve_checked :
-  ?pivots:Hs_lp.Simplex.budget ->
-  ?fail_on_stall:bool ->
-  problem ->
-  policy ->
-  (outcome, Hs_error.t) result
-(** Typed entry point.  [pivots] meters every residual LP re-solve
-    against a shared pivot allowance (exhaustion yields
-    [Budget_exhausted {stage = Rounding; _}]); [fail_on_stall] turns a
-    Dantzig degeneracy stall into [Lp_stall] instead of the silent
-    Bland fallback.  Fails when the initial LP is infeasible, a job runs
-    out of options, or a bound is non-positive. *)
-
-val solve :
-  ?pivots:Hs_lp.Simplex.budget -> problem -> policy -> (outcome, string) result
-(** {!solve_checked} with errors rendered as strings. *)
+val solve : problem -> policy -> (outcome, string) result
+(** Round to an integral choice.  Every residual LP is an exact solve
+    that terminates because the simplex switches to Bland's rule in
+    place on a degenerate run.  Fails when the initial LP is
+    infeasible, a job runs out of options, or a bound is non-positive. *)

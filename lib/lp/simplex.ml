@@ -50,7 +50,6 @@ let budget n = { pivots_left = n; total = n }
 let consumed b = b.total - b.pivots_left
 
 exception Pivot_limit
-exception Stall
 
 (* Telemetry (Hs_obs): metric cells are registered once here, outside
    every functor, so the exact and float instantiations share them. *)
@@ -449,13 +448,10 @@ module Core (F : Field.S) = struct
   (* Dantzig pricing does not terminate on its own under degeneracy; we
      count consecutive zero-progress (degenerate) pivots and fall back to
      Bland's rule permanently once they exceed a threshold, which
-     guarantees termination from any basis.  [on_stall] picks what
-     happens at the threshold: [`Bland] switches rules silently,
-     [`Fail] raises {!Stall} so the caller can restart the whole solve
-     under Bland's rule explicitly.  [budget], if given, is decremented
-     once per pivot across every call sharing it; {!Pivot_limit} is
-     raised when it runs dry. *)
-  let optimize ?(pricing = Dantzig) ?budget ?(on_stall = `Bland) core cost ~max_col =
+     guarantees termination from any basis.  [budget], if given, is
+     decremented once per pivot across every call sharing it;
+     {!Pivot_limit} is raised when it runs dry. *)
+  let optimize ?(pricing = Dantzig) ?budget core cost ~max_col =
     let degenerate_limit = (2 * core.ncols) + 16 in
     let d = price core cost ~max_col in
     let rec go pricing degenerate =
@@ -473,8 +469,7 @@ module Core (F : Field.S) = struct
               pivot core ~row ~col dir;
               if pricing = Bland then go Bland 0
               else if zero_progress then
-                if degenerate + 1 > degenerate_limit then
-                  match on_stall with `Bland -> go Bland 0 | `Fail -> raise Stall
+                if degenerate + 1 > degenerate_limit then go Bland 0
                 else go pricing (degenerate + 1)
               else go pricing 0)
     in
@@ -483,12 +478,12 @@ module Core (F : Field.S) = struct
   (* Phase 1: minimise the sum of artificial variables.  Returns the
      feasibility verdict and the simplex multipliers at the optimum (the
      Farkas witness when infeasible). *)
-  let phase1 ?pricing ?budget ?on_stall core =
+  let phase1 ?pricing ?budget core =
     let cost = Array.make (Stdlib.max 1 core.ncols) F.zero in
     for j = core.art_start to core.ncols - 1 do
       cost.(j) <- F.one
     done;
-    match optimize ?pricing ?budget ?on_stall core cost ~max_col:core.ncols with
+    match optimize ?pricing ?budget core cost ~max_col:core.ncols with
     | `Unbounded ->
         (* The phase-1 objective is bounded below by zero. *)
         assert false
@@ -711,7 +706,7 @@ module Core (F : Field.S) = struct
     List.iter (fun (v, c) -> cost.(v) <- F.add cost.(v) c) objective;
     cost
 
-  let solve ?pricing ?budget ?on_stall ?(maximize = false) (p : F.t Lp_problem.t) =
+  let solve ?pricing ?budget ?(maximize = false) (p : F.t Lp_problem.t) =
     let p =
       if maximize then
         {
@@ -722,11 +717,11 @@ module Core (F : Field.S) = struct
       else p
     in
     with_core p @@ fun core ->
-    if not (fst (phase1 ?pricing ?budget ?on_stall core)) then Infeasible
+    if not (fst (phase1 ?pricing ?budget core)) then Infeasible
     else begin
       let cost = costs_of core p.Lp_problem.objective in
       drive_out core;
-      match optimize ?pricing ?budget ?on_stall core cost ~max_col:core.art_start with
+      match optimize ?pricing ?budget core cost ~max_col:core.art_start with
       | `Unbounded -> Unbounded
       | `Optimal ->
           let obj = objective_value core cost in
@@ -737,12 +732,12 @@ module Core (F : Field.S) = struct
   (* Feasibility via the proposal when it is an outright witness, else
      phase 1 — run from the proposed basis when it was at least a valid
      start, from the cold all-artificial basis otherwise. *)
-  let feasible_basis ?pricing ?budget ?on_stall ?warm (p : F.t Lp_problem.t) =
+  let feasible_basis ?pricing ?budget ?warm (p : F.t Lp_problem.t) =
     with_core { p with Lp_problem.objective = [] } @@ fun core ->
     let feasible =
       match try_warm core warm with
       | Warm_witness -> true
-      | Warm_start | Warm_cold -> fst (phase1 ?pricing ?budget ?on_stall core)
+      | Warm_start | Warm_cold -> fst (phase1 ?pricing ?budget core)
     in
     if not feasible then None
     else begin
@@ -750,9 +745,9 @@ module Core (F : Field.S) = struct
       Some (extract core ~objective:F.zero, describe core)
     end
 
-  let feasible_certified ?pricing ?budget ?on_stall (p : F.t Lp_problem.t) =
+  let feasible_certified ?pricing ?budget (p : F.t Lp_problem.t) =
     with_core { p with Lp_problem.objective = [] } @@ fun core ->
-    let ok, y = phase1 ?pricing ?budget ?on_stall core in
+    let ok, y = phase1 ?pricing ?budget core in
     if not ok then Infeasible_certificate (row_duals core y)
     else begin
       drive_out core;
@@ -836,24 +831,24 @@ module Make (F : Field.S) = struct
     | None -> warm
     | exception Division_by_zero -> warm
 
-  let solve ?pricing ?budget ?on_stall ?maximize (p : F.t Lp_problem.t) =
-    instrumented ~what:"solve" p @@ fun () -> C.solve ?pricing ?budget ?on_stall ?maximize p
+  let solve ?pricing ?budget ?maximize (p : F.t Lp_problem.t) =
+    instrumented ~what:"solve" p @@ fun () -> C.solve ?pricing ?budget ?maximize p
 
-  let feasible ?pricing ?budget ?on_stall p =
-    match solve ?pricing ?budget ?on_stall { p with Lp_problem.objective = [] } with
+  let feasible ?pricing ?budget p =
+    match solve ?pricing ?budget { p with Lp_problem.objective = [] } with
     | Optimal s -> Some s
     | Infeasible -> None
     | Unbounded -> assert false
 
-  let feasible_basis ?pricing ?budget ?on_stall ?warm (p : F.t Lp_problem.t) =
+  let feasible_basis ?pricing ?budget ?warm (p : F.t Lp_problem.t) =
     instrumented ~what:"feasible_basis" p @@ fun () ->
     let warm = match warm with Some [] -> None | w -> w in
     let warm = if !presolve && F.exact then presolve_hint ?budget p warm else warm in
-    C.feasible_basis ?pricing ?budget ?on_stall ?warm p
+    C.feasible_basis ?pricing ?budget ?warm p
 
-  let feasible_certified ?pricing ?budget ?on_stall p =
+  let feasible_certified ?pricing ?budget p =
     instrumented ~what:"feasible_certified" p @@ fun () ->
-    C.feasible_certified ?pricing ?budget ?on_stall p
+    C.feasible_certified ?pricing ?budget p
 
   let solve_certified p =
     instrumented ~what:"solve_certified" p @@ fun () -> C.solve_certified p

@@ -15,7 +15,11 @@
     the library's only proposer is the float pre-solve of
     {!set_presolve}.  Reduced costs are priced once per phase and then
     updated along each pivot row; in exact arithmetic this takes the
-    same pivots as re-pricing every column each pivot.  The
+    same pivots as re-pricing every column each pivot.  Degeneracy is
+    handled in place: after a run of degenerate Dantzig pivots the
+    solve switches to Bland's rule for good, which cannot cycle, so
+    every solve terminates and no caller needs a stall policy of its
+    own.  The
     differential suites check results and certificates against a dense
     tableau kept in [test/dense_oracle.ml], and pivots against the full
     re-pricing engine kept in [test/pricing_oracle.ml]. *)
@@ -36,11 +40,6 @@ val consumed : budget -> int
 
 exception Pivot_limit
 (** Raised mid-solve when the supplied {!budget} runs out. *)
-
-exception Stall
-(** Raised instead of the silent Bland fallback when a solve is run with
-    [~on_stall:`Fail] and Dantzig pricing exceeds the degenerate-pivot
-    threshold. *)
 
 val set_presolve : bool -> unit
 (** Whether exact {!Make.feasible_basis} solves first guess a basis with
@@ -69,19 +68,16 @@ module Make (F : Field.S) : sig
   val solve :
     ?pricing:pricing ->
     ?budget:budget ->
-    ?on_stall:[ `Bland | `Fail ] ->
     ?maximize:bool ->
     F.t Lp_problem.t ->
     result
   (** Minimises the objective by default, from the cold all-artificial
       basis.  [budget] meters pivots (raising {!Pivot_limit} when
-      exhausted); [on_stall] selects the degeneracy response (default
-      [`Bland], the silent rule switch). *)
+      exhausted). *)
 
   val feasible :
     ?pricing:pricing ->
     ?budget:budget ->
-    ?on_stall:[ `Bland | `Fail ] ->
     F.t Lp_problem.t ->
     solution option
   (** Phase-1 only: [Some] basic feasible solution, or [None].  The
@@ -90,7 +86,6 @@ module Make (F : Field.S) : sig
   val feasible_basis :
     ?pricing:pricing ->
     ?budget:budget ->
-    ?on_stall:[ `Bland | `Fail ] ->
     ?warm:Basis.t ->
     F.t Lp_problem.t ->
     (solution * Basis.t) option
@@ -118,7 +113,6 @@ module Make (F : Field.S) : sig
   val feasible_certified :
     ?pricing:pricing ->
     ?budget:budget ->
-    ?on_stall:[ `Bland | `Fail ] ->
     F.t Lp_problem.t ->
     feasibility
   (** Like {!feasible} but returns the Farkas certificate on the

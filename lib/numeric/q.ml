@@ -153,13 +153,16 @@ let inv = function
   | Big (n, d) -> if B.sign n > 0 then Big (d, n) else Big (B.neg d, B.neg n)
 
 (* (a/b) / (c/d) = (a*d) / (b*c), coprime once gcd (a, c) and gcd (b, d)
-   are divided out; the sign moves from c to the numerator. *)
+   are divided out; the sign moves from c to the numerator.  A zero
+   numerator over a non-zero divisor is [zero] outright, without the
+   inverse [mul x (inv y)] would build and throw away. *)
 let div x y =
   match (x, y) with
   | Small (a, b), Small (c, d) when c <> 0 && a <> 0 ->
       let g1 = gcd (Stdlib.abs a) (Stdlib.abs c) and g2 = gcd b d in
       let n = a / g1 * (d / g2) and m = b / g2 * (c / g1) in
       if m < 0 then coprime (-n) (-m) else coprime n m
+  | Small (0, _), _ when not (is_zero y) -> zero
   | _ -> mul x (inv y)
 
 let mul_int x k = mul x (of_int k)

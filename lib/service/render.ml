@@ -35,9 +35,6 @@ let robust_outcome ~(budget : Hs_core.Budget.t) (r : Hs_core.Approx.robust_outco
   (match (budget.Hs_core.Budget.lp_pivots, r.r_consumed.Hs_core.Budget.lp_pivots) with
   | Some limit, Some used -> pr "budget: used %d of %d pivots\n" used limit
   | _ -> ());
-  (match (budget.Hs_core.Budget.search_iters, r.r_consumed.Hs_core.Budget.search_iters) with
-  | Some limit, Some used -> pr "budget: used %d of %d probes\n" used limit
-  | _ -> ());
   pr "lower bound = %d\n" r.r_lower_bound;
   pr "achieved makespan = %d  (guarantee: <= %d)\n" r.r_makespan (2 * r.r_lower_bound);
   pr "schedule: VALID (re-certified), horizon %d\n" (Schedule.horizon r.r_schedule);

@@ -4,12 +4,16 @@
    - the parser: corrupted/malformed text must yield [Error], never raise;
    - the validators: structural mutations violating laminarity or
      monotonicity must be caught;
-   - the solver pipeline: a budget exhaustion injected at any stage must
-     either degrade to a re-certified 2-approximate schedule ([`Fallback])
-     or surface as a typed [Budget_exhausted] error ([`Fail]).
+   - the solver pipeline: a budget exhaustion injected at an exact-path
+     stage must either degrade to a re-certified 2-approximate schedule
+     ([`Fallback]) or surface as a typed [Budget_exhausted] error
+     ([`Fail]); at an LP-path stage, the last path, it always surfaces.
 
    Everything is deterministic: the fuzz streams are SplitMix64 with
-   fixed seeds, so a failure here reproduces exactly. *)
+   fixed seeds, so a failure here reproduces exactly.  The robust LP
+   path is also compared with the plain pipeline on generated
+   instances; QCHECK_LONG=1 draws 100 times as many:
+   QCHECK_LONG=1 dune exec test/test_main.exe -- test faults *)
 
 open Hs_model
 open Hs_core
@@ -72,24 +76,19 @@ let check_valid_2approx ~what (o : Approx.robust_outcome) =
     Alcotest.failf "%s: makespan %d exceeds 2x lower bound %d" what o.Approx.r_makespan
       o.Approx.r_lower_bound
 
-(* Injecting a fault into any LP-path stage must still end in a valid
-   schedule: the Dantzig attempt absorbs the injection, Bland's rule
-   finishes the job. *)
+(* Injecting a fault into any LP-path stage surfaces as the typed
+   error: the LP path is the last one, and no retry could recover a
+   real exhaustion there, because it would spend the same shared pivot
+   allowance. *)
 let test_inject_lp_stages () =
   List.iter
     (fun stage ->
       let what = "inject " ^ Hs_error.stage_name stage in
       match Approx.solve_robust ~inject:stage pipeline_instance with
-      | Error e -> Alcotest.failf "%s: no fallback succeeded: %s" what (Hs_error.to_string e)
-      | Ok o ->
-          check_valid_2approx ~what o;
-          (match o.Approx.r_provenance with
-          | Approx.Lp_approx _ -> ()
-          | Approx.Exact_optimal -> Alcotest.failf "%s: unexpected exact path" what);
-          Alcotest.(check bool)
-            (what ^ ": degradation recorded")
-            true
-            (o.Approx.r_fallbacks <> []))
+      | Error (Hs_error.Budget_exhausted { stage = s; _ } as e) when s = stage ->
+          Alcotest.(check int) (what ^ ": exit code") 4 (Hs_error.exit_code e)
+      | Error e -> Alcotest.failf "%s: wrong error: %s" what (Hs_error.to_string e)
+      | Ok _ -> Alcotest.failf "%s: the injected fault was absorbed" what)
     [ Hs_error.Search; Hs_error.Lp; Hs_error.Rounding ]
 
 (* With a node budget configured the exact path runs first; injecting a
@@ -104,8 +103,8 @@ let test_inject_exact_stages () =
       | Ok o ->
           check_valid_2approx ~what o;
           (match o.Approx.r_provenance with
-          | Approx.Lp_approx { pricing = `Dantzig; _ } -> ()
-          | p -> Alcotest.failf "%s: expected Dantzig fallback, got %s" what
+          | Approx.Lp_approx -> ()
+          | p -> Alcotest.failf "%s: expected the LP fallback, got %s" what
                    (Approx.provenance_to_string p));
           Alcotest.(check bool)
             (what ^ ": degradation recorded")
@@ -121,7 +120,7 @@ let test_real_node_exhaustion () =
   | Ok o ->
       check_valid_2approx ~what:"node exhaustion" o;
       (match o.Approx.r_provenance with
-      | Approx.Lp_approx _ -> ()
+      | Approx.Lp_approx -> ()
       | Approx.Exact_optimal -> Alcotest.fail "50 nodes cannot prove this instance");
       (match o.Approx.r_fallbacks with
       | [ Hs_error.Budget_exhausted { stage = Hs_error.Bb; _ } ] -> ()
@@ -139,8 +138,8 @@ let test_fail_mode_surfaces_error () =
       Alcotest.(check int) "exit code" 4 (Hs_error.exit_code e)
   | Error e -> Alcotest.failf "wrong error: %s" (Hs_error.to_string e)
   | Ok _ -> Alcotest.fail "tiny node budget must not succeed in fail mode");
-  (* A pivot budget too small for any LP attempt exhausts the whole
-     chain even in fallback mode: the meter is shared across attempts. *)
+  (* A pivot budget too small for the LP path exhausts it even in
+     fallback mode: the LP path is the last in the chain. *)
   match Approx.solve_robust ~budget:(Budget.v ~lp_pivots:3 ()) pipeline_instance with
   | Error (Hs_error.Budget_exhausted _ as e) ->
       Alcotest.(check int) "exit code" 4 (Hs_error.exit_code e)
@@ -156,16 +155,76 @@ let test_unlimited_clean_path () =
       check_valid_2approx ~what:"clean" o;
       Alcotest.(check bool) "no degradation" true (o.Approx.r_fallbacks = [])
 
+(* ---- the robust LP path against the plain pipeline ----------------- *)
+
+let pivot_counter = Hs_obs.Metrics.counter "simplex.pivots"
+
+(* With a pivot allowance and no node budget, [solve_robust] is one run
+   of the plain pipeline metered by that allowance.  With room to spare
+   it returns the plain solve's outcome and spends exactly its pivots.
+   With an allowance of [k] it succeeds iff the plain solve takes at
+   most [k] pivots, and otherwise fails at the LP stage with all [k]
+   spent.  [Error] names the first claim that fails. *)
+let robust_agrees seed inst =
+  let fail fmt = Printf.ksprintf Result.error fmt in
+  let before = Hs_obs.Metrics.value pivot_counter in
+  let plain = Approx.Exact.solve_checked inst in
+  let spent = Hs_obs.Metrics.value pivot_counter - before in
+  let run k = Approx.solve_robust ~budget:(Budget.v ~lp_pivots:k ()) inst in
+  let same (o : Approx.Exact.outcome) (r : Approx.robust_outcome) =
+    r.r_provenance = Approx.Lp_approx
+    && r.r_fallbacks = []
+    && r.r_lower_bound = o.t_lp
+    && r.r_assignment = o.assignment
+    && r.r_makespan = o.makespan
+    && r.r_schedule = o.schedule
+    && r.r_consumed.lp_pivots = Some spent
+  in
+  let k = Rng.int (Rng.create seed) ((2 * spent) + 1) in
+  match (plain, run 1_000_000) with
+  | Error e, Error e' ->
+      if e = e' then Ok ()
+      else fail "plain error %s, robust error %s" (Hs_error.to_string e) (Hs_error.to_string e')
+  | Error e, Ok _ -> fail "plain solve failed (%s), robust solve did not" (Hs_error.to_string e)
+  | Ok _, Error e -> fail "robust solve failed: %s" (Hs_error.to_string e)
+  | Ok o, Ok r when not (same o r) -> fail "robust outcome differs from the plain solve"
+  | Ok o, Ok _ -> (
+      match run k with
+      | Ok r ->
+          if k < spent then fail "%d pivots sufficed where the plain solve took %d" k spent
+          else if same o r then Ok ()
+          else fail "allowance %d: outcome differs from the plain solve" k
+      | Error (Hs_error.Budget_exhausted { stage = Hs_error.Lp; detail }) ->
+          let used = Printf.sprintf "(used %d of %d pivots)" k k in
+          if k >= spent then fail "exhausted at allowance %d, plain solve took %d" k spent
+          else if not (String.ends_with ~suffix:used detail) then
+            fail "allowance %d: detail %S does not end in %S" k detail used
+          else Ok ()
+      | Error e -> fail "allowance %d: wrong error %s" k (Hs_error.to_string e))
+
+let robust_prop name ~count gen =
+  QCheck.Test.make ~name ~count ~long_factor:100 Test_util.seed_arb (fun seed ->
+      let inst = gen seed in
+      match robust_agrees seed inst with
+      | Ok () -> true
+      | Error e ->
+          QCheck.Test.fail_reportf "seed %d: %s\n%s" seed e (Instance_io.to_string inst))
+
 let suite =
   let u name f = Alcotest.test_case name `Quick f in
+  let q t = QCheck_alcotest.to_alcotest t in
   ( "faults",
     [
       u "parser survives 500 corrupted inputs" test_parser_never_raises;
       u "malformed corpus rejected" test_malformed_corpus_rejected;
       u "validators catch structural mutations" test_validators_catch_mutations;
-      u "inject: LP-path stages degrade safely" test_inject_lp_stages;
+      u "inject: LP-path stages surface typed errors" test_inject_lp_stages;
       u "inject: exact-path stages degrade safely" test_inject_exact_stages;
       u "real node-budget exhaustion falls back" test_real_node_exhaustion;
       u "fail mode surfaces typed budget errors" test_fail_mode_surfaces_error;
       u "unlimited budget: clean path" test_unlimited_clean_path;
+      q (robust_prop "robust LP path = plain solve, oracle corpus" ~count:40 Oracle.instance_of_seed);
+      q
+        (robust_prop "robust LP path = plain solve, certify-batch topologies" ~count:6
+           Test_search_diff.certify_batch);
     ] )

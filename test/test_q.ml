@@ -25,6 +25,8 @@ let test_arithmetic () =
   check_q "inv(-2/3)" (qq (-3) 2) (Q.inv (qq (-2) 3));
   Alcotest.check_raises "div by zero" Division_by_zero (fun () ->
       ignore (Q.div Q.one Q.zero));
+  check_q "0 / (-3/4) = 0" Q.zero (Q.div Q.zero (qq (-3) 4));
+  Alcotest.check_raises "0 / 0" Division_by_zero (fun () -> ignore (Q.div Q.zero Q.zero));
   Alcotest.check_raises "inv zero" Division_by_zero (fun () -> ignore (Q.inv Q.zero))
 
 let test_rounding () =
