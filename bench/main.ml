@@ -617,7 +617,10 @@ let run_online ~quick ~jobs () =
    arithmetic is capped to the sizes it can carry — the top of the
    ladder (10k jobs / 1k machines in the full run) is float-field only,
    with a pivot allowance so the run always terminates.  Writes
-   BENCH_lp.json. *)
+   BENCH_lp.json, then exits 1 if the exact solve and the presolved
+   exact solve disagree on [feasible] in any row: both are exact
+   verdicts, and a presolve guess may only stand in for phase 1 as an
+   exact witness. *)
 let run_lp ~quick () =
   print_endline "\n== LP engine: float vs exact vs presolve (Hs_lp) ==";
   let module I = Hs_core.Ilp.Make (Hs_lp.Field.Exact) in
@@ -658,6 +661,7 @@ let run_lp ~quick () =
       ]
   in
   let exact_cap = if quick then 60 else 1000 in
+  let disagreements = ref [] in
   let feasibility_case name f =
     match measure f with
     | ok, wall, snap ->
@@ -703,6 +707,13 @@ let run_lp ~quick () =
              ]
            else [])
         in
+        let verdict name =
+          match List.assoc_opt name cases with
+          | Some (Hs_obs.Json.Obj fields) -> List.assoc_opt "feasible" fields
+          | _ -> None
+        in
+        if verdict "sparse_exact" <> verdict "sparse_exact_presolve" then
+          disagreements := n :: !disagreements;
         let wall_of name =
           match List.assoc_opt name cases with
           | Some (Hs_obs.Json.Obj fields) -> (
@@ -738,7 +749,12 @@ let run_lp ~quick () =
   output_string oc (Hs_obs.Json.to_string doc);
   output_char oc '\n';
   close_out oc;
-  print_endline "wrote BENCH_lp.json"
+  print_endline "wrote BENCH_lp.json";
+  if !disagreements <> [] then begin
+    Printf.eprintf "lp bench FAILED: exact and presolved exact verdicts differ at n=%s\n"
+      (String.concat ", " (List.rev_map string_of_int !disagreements));
+    exit 1
+  end
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in

@@ -707,15 +707,15 @@ let lp_lower_bound inst ~t_lp =
           [] )
     | Some (lp, _) -> (
         match Ilp_exact.Solver.feasible lp with
-        | Some sol ->
+        | Ilp_exact.Solver.Feasible sol ->
             ( V.pass ~invariant:"lp.feasible-at-t"
                 (Printf.sprintf "(IP-3) relaxation feasible at T* = %d" t_lp),
               (* The recomputed witness must itself be the vertex the
-                 solver contract promises. *)
+                 solver contract promises; the relaxation has no
+                 objective, so c·x is zero. *)
               lp_vertex lp ~x:sol.Ilp_exact.Solver.x
-                ~basic:sol.Ilp_exact.Solver.basic
-                ~objective:sol.Ilp_exact.Solver.objective )
-        | None ->
+                ~basic:sol.Ilp_exact.Solver.basic ~objective:Q.zero )
+        | Ilp_exact.Solver.Infeasible_certificate _ ->
             ( V.fail ~invariant:"lp.feasible-at-t"
                 "(IP-3) relaxation infeasible at T* = %d" t_lp,
               [] ))

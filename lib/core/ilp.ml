@@ -92,9 +92,9 @@ module Make (F : Hs_lp.Field.S) = struct
           var_of )
     end
 
-  (** Budget-aware LP feasibility of (IP-3) at horizon [tmax]: one cold
-      {!Solver.feasible_basis} solve (under [--lp-presolve] the solver
-      proposes its own float-guessed basis).  Raises {!Hs_error.Error}
+  (** Budget-aware LP feasibility of (IP-3) at horizon [tmax]: one
+      {!Solver.feasible} solve (under [--lp-presolve] the solver first
+      tries its own float-guessed basis).  Raises {!Hs_error.Error}
       on pivot-budget exhaustion; [trip] is the fault-injection hook,
       called on entry with {!Hs_error.Lp}. *)
   let lp_feasible_x ?pivots ?(trip = fun (_ : Hs_error.stage) -> ()) inst ~tmax :
@@ -107,7 +107,7 @@ module Make (F : Hs_lp.Field.S) = struct
     | None -> None
     | Some (lp, var_of) -> (
         let sol =
-          try Option.map fst (Solver.feasible_basis ?budget:pivots lp)
+          try Solver.feasible ?budget:pivots lp
           with Hs_lp.Simplex.Pivot_limit ->
             Hs_error.raise_
               (Budget_exhausted
@@ -123,8 +123,8 @@ module Make (F : Hs_lp.Field.S) = struct
                  })
         in
         match sol with
-        | None -> None
-        | Some sol ->
+        | Solver.Infeasible_certificate _ -> None
+        | Solver.Feasible sol ->
             let lam = Instance.laminar inst in
             Some
               (Array.init (Laminar.size lam) (fun s ->
@@ -168,7 +168,7 @@ module Make (F : Hs_lp.Field.S) = struct
     match relaxation inst ~tmax with
     | None -> true
     | Some (lp, _) -> (
-        match Solver.feasible_certified lp with
+        match Solver.feasible lp with
         | Solver.Feasible _ -> false
         | Solver.Infeasible_certificate y -> Solver.check_farkas lp y)
 

@@ -38,9 +38,9 @@ module Make (F : Hs_lp.Field.S) : sig
       [Budget_exhausted] when the shared pivot allowance runs out; the
       message names [tmax], the horizon where it ran out.  [trip] is
       the fault-injection hook, fired on entry with {!Hs_error.Lp}.
-      Every call is one cold {!Hs_lp.Simplex.Make.feasible_basis}
-      solve; the only basis it is ever proposed is the solver's own
-      float guess under {!Hs_lp.Simplex.set_presolve}. *)
+      Every call is one {!Hs_lp.Simplex.Make.feasible} solve, cold
+      unless {!Hs_lp.Simplex.set_presolve} lets the solver's own float
+      guess stand in for phase 1 as an exact witness. *)
 
   val t_bounds : Instance.t -> (int * int) option
   (** Certified search bounds [(lo, hi)] for the minimal feasible

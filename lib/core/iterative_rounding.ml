@@ -118,8 +118,9 @@ let solve (p : problem) (policy : policy) : (outcome, string) result =
                 (List.init nrows (fun l -> l))
             in
             match Solver.feasible (LP.make ~nvars:nv (assign_cs @ pack_cs)) with
-            | None -> raise (Fail "iterative_rounding: residual LP infeasible")
-            | Some sol ->
+            | Solver.Infeasible_certificate _ ->
+                raise (Fail "iterative_rounding: residual LP infeasible")
+            | Solver.Feasible sol ->
                 let progress = ref false in
                 let kept = ref [] in
                 Array.iteri

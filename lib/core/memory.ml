@@ -110,7 +110,9 @@ let run inst ~capacity_rows ~policy ~lo ~hi =
             LPQ.constr ~name:p.Iterative_rounding.names.(l) !terms LPQ.Le
               p.Iterative_rounding.bounds.(l))
       in
-      Solver.feasible (LPQ.make ~nvars:nv (assign @ packs)) <> None
+      match Solver.feasible (LPQ.make ~nvars:nv (assign @ packs)) with
+      | Solver.Feasible _ -> true
+      | Solver.Infeasible_certificate _ -> false
     end
   in
   let rec search lo hi best =

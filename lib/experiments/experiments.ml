@@ -825,7 +825,7 @@ let a3 ?(quick = false) () =
               let time pricing =
                 let t0 = Sys.time () in
                 for _ = 1 to 3 do
-                  ignore (S.feasible ~pricing lp)
+                  ignore (S.feasible ~pricing lp : S.feasibility)
                 done;
                 (Sys.time () -. t0) /. 3.
               in

@@ -27,8 +27,9 @@ module type S = sig
   val neg : t -> t
 
   val compare : t -> t -> int
-  (** Total order; exact for {!Exact}, tolerance-free for {!Float} (the
-      tolerance enters only through {!sign} and {!is_zero}). *)
+  (** Order; exact for {!Exact}.  {!Float} reads values within its
+      tolerance of each other as equal, as {!sign} and {!is_zero} do,
+      so the simplex breaks float near-ties by index like exact ties. *)
 
   val sign : t -> int
   (** [-1], [0] or [1]; zero within tolerance counts as [0]. *)
@@ -86,7 +87,7 @@ module Float : S with type t = float = struct
   let div a b = if b = 0. then raise Division_by_zero else a /. b
 
   let neg x = -.x
-  let compare = Float.compare
+  let compare a b = if Float.abs (a -. b) <= eps then 0 else Float.compare a b
   let sign x = if Float.abs x <= eps then 0 else if x > 0. then 1 else -1
   let is_zero x = Float.abs x <= eps
   let to_float x = x

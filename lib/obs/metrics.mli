@@ -15,10 +15,16 @@
     algorithmic events and merging is commutative, a parallel sweep's
     final snapshot equals the sequential one.
 
-    Snapshots are {e deterministic}: entries are sorted by name and
-    counters count algorithmic events (pivots, nodes, probes), never
-    wall-clock — two identical seeded solves produce byte-identical
-    snapshots, which the test suite asserts on.
+    Snapshots are {e deterministic} except for wall time: entries are
+    sorted by name, and counters, gauges and every histogram but the
+    {!ms_buckets} ones count algorithmic events (pivots, nodes, probes),
+    never wall-clock, so two identical seeded solves agree on all of
+    them, which the test suite asserts on.  The exception is the
+    wall-millisecond histograms built on {!ms_buckets}:
+    [online.event_ms] (in [hsched online --stats-json]) and the
+    daemon's [service.phase.{queue,solve,render,write}_ms].  Their
+    bucket counts and sums vary from run to run, so a byte-identical
+    snapshot holds only where none of them was observed.
 
     Naming convention (DESIGN.md §9): [<layer>.<quantity>] in
     [snake_case], e.g. ["simplex.pivots"], ["bb.nodes"],

@@ -4,28 +4,25 @@
    maintains its reduced costs along each pivot row instead) to the
    same pivots.
 
-   Cut down to the cold exact entry points: [solve], [feasible_basis]
-   and [feasible_certified], with the same pricing rules, Dantzig's
-   degenerate-run switch to Bland, Bland's leaving rule, drive-out and
-   pivot budget as the engine.  No warm starts, no float pre-solve, no
-   telemetry.
+   Cut down to the cold exact feasibility solve, [feasible], with the
+   same pricing rules, Dantzig's degenerate-run switch to Bland, Bland's
+   leaving rule, drive-out, Farkas ray and pivot budget as the engine.
+   No float pre-solve, no telemetry.
 
    Standard form and column numbering:
    - columns [0 .. nvars-1]            original variables
    - columns [nvars .. art_start-1]    slack / surplus variables
-   - columns [art_start .. ncols-1]    artificial variables (phase 1 only)
+   - columns [art_start .. ncols-1]    artificial variables
    Rows with a negative rhs are negated first (flipping the relation). *)
 
 open Hs_lp
 module Q = Hs_numeric.Q
 module S = Sparse.Make (Field.Exact)
 
-type solution = { x : Q.t array; objective : Q.t; basic : bool array }
-type result = Optimal of solution | Infeasible | Unbounded
+type solution = { x : Q.t array; basic : bool array }
 type feasibility = Feasible of solution | Infeasible_certificate of Q.t array
 type pricing = Bland | Dantzig
 
-type row_info = { flipped : bool; aux : int option }
 
 type eta = { e_row : int; e_piv : Q.t; e_off : (int * Q.t) array }
 
@@ -35,8 +32,7 @@ type core = {
   nvars : int;
   art_start : int;
   ncols : int;
-  row_info : row_info array;
-  aux_owner : int array;
+  flipped : bool array;
   basis : int array;
   in_basis : bool array;
   redundant : bool array;
@@ -112,18 +108,16 @@ let build (p : Q.t Lp_problem.t) =
   let ncols = art_start + count (fun rel -> rel <> Le) in
   let rows = Array.make nrows [] in
   let xb = Array.make nrows Q.zero in
-  let row_info = Array.make nrows { flipped = false; aux = None } in
+  let flipped = Array.make nrows false in
   let basis = Array.make nrows (-1) in
-  let aux_owner = Array.make (Stdlib.max 1 ncols) (-1) in
   let next_slack = ref nvars and next_art = ref art_start in
   List.iteri
-    (fun r (terms, rel, rhs, flipped) ->
+    (fun r (terms, rel, rhs, flip) ->
       xb.(r) <- rhs;
+      flipped.(r) <- flip;
       let slack sign =
         let s = !next_slack in
         incr next_slack;
-        aux_owner.(s) <- r;
-        row_info.(r) <- { flipped; aux = Some s };
         (s, sign)
       in
       let art () =
@@ -141,9 +135,7 @@ let build (p : Q.t Lp_problem.t) =
         | Ge ->
             let s = slack (Q.neg Q.one) in
             [ s; art () ]
-        | Eq ->
-            row_info.(r) <- { flipped; aux = None };
-            [ art () ]
+        | Eq -> [ art () ]
       in
       rows.(r) <- terms @ aux)
     raw;
@@ -155,8 +147,7 @@ let build (p : Q.t Lp_problem.t) =
     nvars;
     art_start;
     ncols;
-    row_info;
-    aux_owner;
+    flipped;
     basis;
     in_basis;
     redundant = Array.make (Stdlib.max 1 nrows) false;
@@ -164,13 +155,13 @@ let build (p : Q.t Lp_problem.t) =
     etas = [];
   }
 
-(* Every pivot re-prices every nonbasic column below [max_col] from a
-   fresh y = B⁻ᵀc_B: Bland takes the smallest eligible index, Dantzig
-   the most negative reduced cost with ties to the earlier column. *)
-let entering pricing core cost (y : Q.t array) ~max_col =
+(* Every pivot re-prices every nonbasic column from a fresh
+   y = B⁻ᵀc_B: Bland takes the smallest eligible index, Dantzig the most
+   negative reduced cost with ties to the earlier column. *)
+let entering pricing core cost (y : Q.t array) =
   let best = ref None in
   (try
-     for j = 0 to max_col - 1 do
+     for j = 0 to core.ncols - 1 do
        if not core.in_basis.(j) then begin
          let v = reduced_cost core cost y j in
          if Q.sign v < 0 then
@@ -216,16 +207,17 @@ let pivot core ~row ~col (d : Q.t array) =
   core.in_basis.(col) <- true;
   core.basis.(row) <- col
 
-let optimize ~pricing ~budget core cost ~max_col =
+(* Phase 1 is bounded below by zero, so some row always blocks. *)
+let optimize ~pricing ~budget core cost =
   let degenerate_limit = (2 * core.ncols) + 16 in
   let rec go pricing degenerate =
     let y = btran_costs core cost in
-    match entering pricing core cost y ~max_col with
-    | None -> `Optimal
+    match entering pricing core cost y with
+    | None -> ()
     | Some col -> (
         let d = direction core col in
         match leaving core d with
-        | None -> `Unbounded
+        | None -> assert false
         | Some row ->
             let zero_progress = Q.sign core.xb.(row) = 0 in
             charge budget;
@@ -243,9 +235,8 @@ let phase1 ~pricing ~budget core =
   for j = core.art_start to core.ncols - 1 do
     cost.(j) <- Q.one
   done;
-  match optimize ~pricing ~budget core cost ~max_col:core.ncols with
-  | `Unbounded -> assert false
-  | `Optimal -> (Q.sign (objective_value core cost) = 0, btran_costs core cost)
+  optimize ~pricing ~budget core cost;
+  (Q.sign (objective_value core cost) = 0, btran_costs core cost)
 
 (* Exchange pivots, never charged: each remaining artificial leaves for
    the first structural or aux column with a nonzero tableau entry in
@@ -267,7 +258,7 @@ let drive_out core =
     end
   done
 
-let extract core ~objective =
+let extract core =
   let x = Array.make core.nvars Q.zero in
   let basic = Array.make core.nvars false in
   Array.iteri
@@ -277,54 +268,16 @@ let extract core ~objective =
         basic.(bcol) <- true
       end)
     core.basis;
-  { x; objective; basic }
+  { x; basic }
 
-let describe core : Basis.t =
-  List.filter_map
-    (fun bcol ->
-      if bcol < core.nvars then Some (Basis.Var bcol)
-      else if bcol < core.art_start then Some (Basis.Aux core.aux_owner.(bcol))
-      else None)
-    (Array.to_list core.basis)
-
-let costs_of core (objective : (int * Q.t) list) =
-  let cost = Array.make (Stdlib.max 1 core.ncols) Q.zero in
-  List.iter (fun (v, c) -> cost.(v) <- Q.add cost.(v) c) objective;
-  cost
-
-let solve ?(pricing = Dantzig) ?budget ?(maximize = false) (p : Q.t Lp_problem.t) =
-  let objective =
-    if maximize then List.map (fun (v, c) -> (v, Q.neg c)) p.objective else p.objective
-  in
-  let core = build p in
-  if not (fst (phase1 ~pricing ~budget core)) then Infeasible
-  else begin
-    let cost = costs_of core objective in
-    drive_out core;
-    match optimize ~pricing ~budget core cost ~max_col:core.art_start with
-    | `Unbounded -> Unbounded
-    | `Optimal ->
-        let obj = objective_value core cost in
-        Optimal (extract core ~objective:(if maximize then Q.neg obj else obj))
-  end
-
-let feasible_basis ?(pricing = Dantzig) ?budget (p : Q.t Lp_problem.t) =
-  let core = build p in
-  if not (fst (phase1 ~pricing ~budget core)) then None
-  else begin
-    drive_out core;
-    Some (extract core ~objective:Q.zero, describe core)
-  end
-
-(* The Farkas witness: the phase-1 multipliers, one per constraint in
+(* The Farkas ray: the phase-1 multipliers, one per constraint in
    declaration order, with the rhs flip undone. *)
-let feasible_certified ?(pricing = Dantzig) ?budget (p : Q.t Lp_problem.t) =
+let feasible ?(pricing = Dantzig) ?budget (p : Q.t Lp_problem.t) =
   let core = build p in
   let ok, y = phase1 ~pricing ~budget core in
   if not ok then
-    Infeasible_certificate
-      (Array.mapi (fun r info -> if info.flipped then Q.neg y.(r) else y.(r)) core.row_info)
+    Infeasible_certificate (Array.mapi (fun r flip -> if flip then Q.neg y.(r) else y.(r)) core.flipped)
   else begin
     drive_out core;
-    Feasible (extract core ~objective:Q.zero)
+    Feasible (extract core)
   end

@@ -1,16 +1,17 @@
 (* Differential suite for the LP engine (Hs_lp.Simplex, a sparse
-   revised simplex) against the dense tableau oracle in
-   dense_oracle.ml, plus the soundness of basis proposals (the entry
-   --lp-presolve uses) and of the presolved horizon search, the
-   degenerate and pivot-budget pins, and the Hs_check vertex
-   invariant.
+   revised feasibility simplex) against the dense tableau oracle in
+   dense_oracle.ml, plus the presolve guess (--lp-presolve) and the
+   presolved horizon search, the degenerate and pivot-budget pins, and
+   the Hs_check vertex invariant.
 
-   The engine and the oracle may pivot along different paths to
-   different optimal vertices, so the differential compares results:
-   the same result kind, the same exact objective, both points basic
-   feasible per Hs_check.Check.lp_vertex, and the engine's own
-   certificates (optimal duals, Farkas witnesses) passing the
-   independent checkers. *)
+   The engine only decides feasibility; the oracle still optimises, and
+   its optimum z* becomes two feasibility pins: the system with the cut
+   c·x ≤ z* (≥ for a maximisation) is feasible, with a vertex that
+   passes Hs_check.Check.lp_vertex, and with the cut moved 1/1000 past
+   z* it is infeasible, with a Farkas ray that passes check_farkas.  An
+   unbounded LP stays feasible at a cut far beyond any vertex.  The
+   engine and the oracle may pivot along different paths, so only
+   verdicts and certificates are compared. *)
 
 open Hs_lp
 module Q = Hs_numeric.Q
@@ -28,16 +29,6 @@ let counter name =
   let s = Hs_obs.Metrics.snapshot () in
   Option.value ~default:0 (List.assoc_opt name s.Hs_obs.Metrics.counters)
 
-let result_tag = function
-  | SQ.Optimal _ -> "optimal"
-  | SQ.Infeasible -> "infeasible"
-  | SQ.Unbounded -> "unbounded"
-
-let oracle_tag = function
-  | Dense_oracle.Optimal _ -> "optimal"
-  | Dense_oracle.Infeasible -> "infeasible"
-  | Dense_oracle.Unbounded -> "unbounded"
-
 let check_vertex label who p ~x ~basic ~objective =
   List.iter
     (fun (it : Hs_check.Verdict.item) ->
@@ -46,45 +37,50 @@ let check_vertex label who p ~x ~basic ~objective =
           it.detail)
     (Hs_check.Check.lp_vertex p ~x ~basic ~objective)
 
-(* Solve with the engine and the oracle and require the same result
-   kind and exact objective, with both points basic feasible.  Then
-   re-solve the minimisation form with certificates and check them:
-   the optimal duals with check_optimal, a Farkas witness with
+let zero_objective p = { p with Lp_problem.objective = [] }
+
+(* [p] as a pure system with one more row bounding the objective by
+   [z]: c·x ≤ z when minimising, c·x ≥ z (written −c·x ≤ −z) when
+   maximising. *)
+let cut ~maximize p z =
+  let s v = if maximize then Q.neg v else v in
+  Lp_problem.make ~nvars:p.Lp_problem.nvars
+    (p.Lp_problem.constrs
+    @ [ c ~name:"cut" (List.map (fun (v, k) -> (v, s k)) p.Lp_problem.objective) Le (s z) ])
+
+(* The cut just past an optimum z*. *)
+let past ~maximize z = if maximize then Q.add z (qq 1 1000) else Q.sub z (qq 1 1000)
+
+(* The pins of one LP: the system itself, and with the oracle's optimum
+   the cut at z* and just past it (or, when the oracle finds no bound,
+   a cut far beyond any vertex); each with the verdict it must get. *)
+let pins ?(maximize = false) label p =
+  let far = if maximize then q 1_000_000 else q (-1_000_000) in
+  match Dense_oracle.solve ~maximize p with
+  | Dense_oracle.Infeasible -> [ (label, zero_objective p, false) ]
+  | Dense_oracle.Unbounded ->
+      [ (label, zero_objective p, true); (label ^ " at a far cut", cut ~maximize p far, true) ]
+  | Dense_oracle.Optimal o ->
+      check_vertex label "oracle" p ~x:o.x ~basic:o.basic ~objective:o.objective;
+      [
+        (label, zero_objective p, true);
+        (label ^ " at z*", cut ~maximize p o.objective, true);
+        (label ^ " past z*", cut ~maximize p (past ~maximize o.objective), false);
+      ]
+
+(* The engine's verdict on a pure system, with its certificate checked:
+   a vertex per Hs_check.Check.lp_vertex, or a Farkas ray per
    check_farkas. *)
-let differential ?(maximize = false) label p =
-  let o = Dense_oracle.solve ~maximize p in
-  let s = SQ.solve ~maximize p in
-  Alcotest.(check string) (label ^ ": result kind") (oracle_tag o) (result_tag s);
-  (match (o, s) with
-  | Dense_oracle.Optimal os, SQ.Optimal ss ->
-      Alcotest.(check string)
-        (label ^ ": objective")
-        (Q.to_string os.objective) (Q.to_string ss.objective);
-      check_vertex label "oracle" p ~x:os.x ~basic:os.basic ~objective:os.objective;
-      check_vertex label "engine" p ~x:ss.x ~basic:ss.basic ~objective:ss.objective
-  | _ -> ());
-  let pmin =
-    if maximize then
-      {
-        p with
-        Lp_problem.objective =
-          List.map (fun (v, k) -> (v, Q.neg k)) p.Lp_problem.objective;
-      }
-    else p
-  in
-  match (SQ.solve_certified pmin, s) with
-  | SQ.Certified_optimal cert, SQ.Optimal ss ->
-      Alcotest.(check bool) (label ^ ": optimality certificate") true
-        (SQ.check_optimal pmin cert);
-      Alcotest.(check string)
-        (label ^ ": certified objective")
-        (Q.to_string ss.objective)
-        (Q.to_string
-           (if maximize then Q.neg cert.primal.objective else cert.primal.objective))
-  | SQ.Certified_infeasible y, SQ.Infeasible ->
-      Alcotest.(check bool) (label ^ ": Farkas certificate") true (SQ.check_farkas p y)
-  | SQ.Certified_unbounded, SQ.Unbounded -> ()
-  | _ -> Alcotest.failf "%s: certified solve disagrees with solve" label
+let expect ?pricing ?budget label p feasible =
+  match (SQ.feasible ?pricing ?budget p, feasible) with
+  | SQ.Feasible s, true -> check_vertex label "engine" p ~x:s.x ~basic:s.basic ~objective:Q.zero
+  | SQ.Infeasible_certificate y, false ->
+      Alcotest.(check bool) (label ^ ": Farkas ray") true (SQ.check_farkas p y)
+  | SQ.Feasible _, false -> Alcotest.failf "%s: expected infeasible" label
+  | SQ.Infeasible_certificate _, true -> Alcotest.failf "%s: expected feasible" label
+
+let differential ?maximize label p =
+  List.iter (fun (l, sys, f) -> expect l sys f) (pins ?maximize label p)
 
 (* ---- fixtures carried over from test_simplex.ml ---------------------- *)
 
@@ -191,103 +187,84 @@ let test_seeded_differential () =
     differential (Printf.sprintf "seed %d" seed) (seeded_lp seed)
   done
 
-(* ---- basis proposals (feasible_basis ~warm) ---------------------------- *)
+(* ---- the presolve guess ----------------------------------------------- *)
 
-(* The entry the float pre-solve proposes its guesses through.  Every
-   point is checked as a vertex of the zero-objective problem that
-   feasible_basis actually solves. *)
+let with_presolve f =
+  Simplex.set_presolve true;
+  Fun.protect ~finally:(fun () -> Simplex.set_presolve false) f
 
 let feasible_seed seed = seeded_lp ((seed * 7) + 1) (* avoid the seed mod 7 = 0 injection *)
-let zero_objective p = { p with Lp_problem.objective = [] }
 
-let check_feasible_vertex label p (s : SQ.solution) =
-  check_vertex label "proposal" (zero_objective p) ~x:s.x ~basic:s.basic ~objective:Q.zero
+let verdict p = match SQ.feasible p with SQ.Feasible _ -> true | SQ.Infeasible_certificate _ -> false
 
-(* A basis proposed back to the problem it came from is a witness for
-   the same vertex: one hit, no miss, no pivot. *)
-let test_warm_same_objective () =
-  for seed = 0 to 24 do
-    let p = feasible_seed seed in
-    let label = Printf.sprintf "seed %d" seed in
-    let cold, basis =
-      match SQ.feasible_basis p with
-      | Some r -> r
-      | None -> Alcotest.failf "%s: expected feasible" label
-    in
-    Hs_obs.Metrics.reset ();
-    match SQ.feasible_basis ~warm:basis p with
-    | Some (s, _) ->
-        check_feasible_vertex label p s;
-        Alcotest.(check (array string))
-          (label ^ ": same vertex")
-          (Array.map Q.to_string cold.x) (Array.map Q.to_string s.x);
-        Alcotest.(check (list int))
-          (label ^ ": hits, misses, pivots")
-          [ 1; 0; 0 ]
-          (List.map counter
-             [ "lp.warm_start.hits"; "lp.warm_start.misses"; "simplex.pivots" ])
-    | None -> Alcotest.failf "%s: own basis lost feasibility" label
-  done
-
-let test_corrupt_basis_repaired () =
-  let p = feasible_seed 3 in
-  (* Garbage proposals: out-of-range variables, duplicates, auxiliaries
-     of rows that do not exist, and a basis stolen from an unrelated
-     problem.  All must be repaired or rejected — never trusted. *)
-  let corrupt_proposals =
-    [
-      [ Basis.Var 0; Basis.Var 0; Basis.Var 9999; Basis.Aux 999; Basis.Aux (-1) ];
-      List.init 40 (fun i -> Basis.Var i);
-      (match SQ.feasible_basis (feasible_seed 11) with
-      | Some (_, b) -> b
-      | None -> []);
-    ]
-  in
-  List.iteri
-    (fun k proposal ->
+(* A guess is only ever accepted as an exact witness, so presolve on and
+   off give the same verdicts, with certificates that check.  Without
+   presolve no guess is made or counted; with it every solve makes one
+   float guess, counted as a hit or a miss at most once.  Returns the
+   hits. *)
+let presolve_same_verdicts inputs =
+  List.fold_left
+    (fun hits (label, p) ->
+      let p = zero_objective p in
       Hs_obs.Metrics.reset ();
-      match SQ.feasible_basis ~warm:proposal p with
-      | Some (s, _) ->
-          check_feasible_vertex (Printf.sprintf "corrupt %d" k) p s;
-          let hits = counter "lp.warm_start.hits" in
-          let misses = counter "lp.warm_start.misses" in
-          (* Out-of-range entries are dropped at translation, so a
-             sanitised prefix may still load cleanly (a hit); what the
-             metrics must never do is skip the accounting. *)
-          Alcotest.(check bool)
-            (Printf.sprintf "corrupt %d: warm attempt recorded" k)
-            true
-            (hits > 0 || misses > 0 || proposal = [])
-      | None -> Alcotest.failf "corrupt %d: lost feasibility" k)
-    corrupt_proposals
+      let cold = verdict p in
+      Alcotest.(check (list int))
+        (label ^ ": no guess without presolve")
+        [ 0; 0; 0 ]
+        (List.map counter [ "lp.presolve.guesses"; "lp.warm_start.hits"; "lp.warm_start.misses" ]);
+      Hs_obs.Metrics.reset ();
+      with_presolve (fun () -> expect (label ^ " under presolve") p cold);
+      let accounted = counter "lp.warm_start.hits" + counter "lp.warm_start.misses" in
+      Alcotest.(check bool) (label ^ ": one guess, counted at most once") true
+        (counter "lp.presolve.guesses" = 1 && accounted <= 1);
+      hits + counter "lp.warm_start.hits")
+    0 inputs
 
-(* A loaded proposal is only ever a starting point: on a system with no
-   solution, phase 1 must still report infeasibility. *)
-let test_foreign_basis_infeasible () =
-  for k = 0 to 29 do
-    let p = seeded_lp (7 * k) in
-    match SQ.feasible_basis p with
-    | Some _ -> Alcotest.failf "seeded_lp %d: fixture should be infeasible" (7 * k)
-    | None -> (
-        let donor =
-          match SQ.feasible_basis (feasible_seed k) with
-          | Some (_, b) -> b
-          | None -> Alcotest.failf "feasible_seed %d: expected feasible" k
-        in
-        match SQ.feasible_basis ~warm:donor p with
-        | None -> ()
-        | Some _ -> Alcotest.failf "seeded_lp %d: a foreign basis made it feasible" (7 * k))
-  done
-
-(* The float pre-solve is the library's only proposer.  Without it no
-   horizon probe proposes a basis; with it every probe is offered the
-   float guess, and the search still returns the cold T*.  A failing
-   seed is shrunk to a minimal instance before reporting. *)
-let test_presolve_search_same_horizon () =
-  let with_presolve f =
-    Simplex.set_presolve true;
-    Fun.protect ~finally:(fun () -> Simplex.set_presolve false) f
+let test_presolve_feasible () =
+  let hits =
+    presolve_same_verdicts
+      (List.init 25 (fun k -> (Printf.sprintf "feasible_seed %d" k, feasible_seed k)))
   in
+  Alcotest.(check bool) "some guesses are witnesses" true (hits > 0)
+
+let test_presolve_infeasible () =
+  let hits =
+    presolve_same_verdicts
+      (List.init 30 (fun k -> (Printf.sprintf "seeded_lp %d" (7 * k), seeded_lp (7 * k))))
+  in
+  Alcotest.(check int) "no witness for an infeasible system" 0 hits
+
+(* Systems the float field gets wrong: x ≥ 1 ∧ x ≤ 1 − 10⁻¹² is feasible
+   within the float tolerance, and in x ≤ −10⁻¹² the float field reads
+   the rhs as zero and keeps the row while exact Q flips it, so the two
+   standard forms differ.  In x + y = 1 ∧ x + y = 1 + 10⁻¹² the guess
+   re-factorises with x_B ≥ 0 but leaves the second row's artificial
+   basic at 10⁻¹².  Under presolve each guess must be a counted miss and
+   the exact answer a verified Farkas ray. *)
+let test_presolve_rejects_float_deceit () =
+  let tiny = qq 1 1_000_000_000_000 in
+  List.iter
+    (fun (label, p) ->
+      Hs_obs.Metrics.reset ();
+      with_presolve (fun () -> expect label p false);
+      Alcotest.(check (list int))
+        (label ^ ": guesses, hits, misses")
+        [ 1; 0; 1 ]
+        (List.map counter [ "lp.presolve.guesses"; "lp.warm_start.hits"; "lp.warm_start.misses" ]))
+    [
+      ( "x >= 1 and x <= 1 - 1e-12",
+        Lp_problem.make ~nvars:1 [ c [ (0, q 1) ] Ge (q 1); c [ (0, q 1) ] Le (Q.sub (q 1) tiny) ] );
+      ("x <= -1e-12", Lp_problem.make ~nvars:1 [ c [ (0, q 1) ] Le (Q.neg tiny) ]);
+      ( "x + y = 1 and x + y = 1 + 1e-12",
+        let xy = [ (0, q 1); (1, q 1) ] in
+        Lp_problem.make ~nvars:2 [ c xy Eq (q 1); c xy Eq (Q.add (q 1) tiny) ] );
+    ]
+
+(* The float pre-solve is the only source of basis guesses.  Without it
+   no horizon probe is offered one; with it every probe is, and the
+   search still returns the cold T*.  A failing seed is shrunk to a
+   minimal instance before reporting. *)
+let test_presolve_search_same_horizon () =
   let horizon inst = Option.map fst (Ilp.min_feasible_t inst) in
   let disagrees inst = horizon inst <> with_presolve (fun () -> horizon inst) in
   let proposals () = counter "lp.warm_start.hits" + counter "lp.warm_start.misses" in
@@ -312,7 +289,7 @@ let test_presolve_search_same_horizon () =
         seed jobs sets vol
     end
   done;
-  Alcotest.(check bool) "the float guesses reach the loader" true (!hinted > 0)
+  Alcotest.(check bool) "the float guesses reach the exact engine" true (!hinted > 0)
 
 (* ---- degenerate pins and pivot budgets --------------------------------- *)
 
@@ -330,19 +307,31 @@ let fully_degenerate =
       c [ (0, q 1); (1, q 1); (2, q 1) ] Eq (q 0);
     ]
 
+(* Beale's example with its optimum as a cut, rows ∧ −c·x ≥ rhs:
+   feasible at rhs = 1/20, infeasible at 51/1000.  Its Dantzig phase 1
+   runs past the degenerate-pivot limit, so only the switch to Bland's
+   rule ends it; the 1000-pivot budget turns a missing switch into a
+   failure instead of a hang. *)
+let beale_cut rhs =
+  Lp_problem.make ~nvars:beale.Lp_problem.nvars
+    (beale.Lp_problem.constrs
+    @ [ c ~name:"cut" (List.map (fun (v, k) -> (v, Q.neg k)) beale.Lp_problem.objective) Ge rhs ])
+
 let test_degenerate_pins () =
   List.iter
-    (fun (label, p, expected) ->
+    (fun (label, p, feasible) ->
       List.iter
         (fun (rule, pricing) ->
-          match SQ.solve ~pricing p with
-          | SQ.Optimal s ->
-              Alcotest.(check string)
-                (Printf.sprintf "%s under %s" label rule)
-                expected (Q.to_string s.objective)
-          | _ -> Alcotest.failf "%s under %s: expected optimal" label rule)
+          expect ~pricing ~budget:(Simplex.budget 1_000)
+            (Printf.sprintf "%s under %s" label rule)
+            p feasible)
         [ ("Dantzig", SQ.Dantzig); ("Bland", SQ.Bland) ])
-    [ ("Beale", beale, "-1/20"); ("fully degenerate", fully_degenerate, "0") ]
+    [
+      ("Beale, -c.x >= 1/20", beale_cut (qq 1 20), true);
+      ("Beale, -c.x >= 51/1000", beale_cut (qq 51 1000), false);
+      ("fully degenerate at z*", cut ~maximize:false fully_degenerate Q.zero, true);
+      ("fully degenerate past z*", cut ~maximize:false fully_degenerate (qq (-1) 1000), false);
+    ]
 
 let test_pivot_limit () =
   (* Every allowance short of the unmetered pivot count runs dry, and
@@ -350,13 +339,13 @@ let test_pivot_limit () =
   let p = seeded_lp 42 in
   let full =
     let b = Simplex.budget 100_000 in
-    ignore (SQ.solve ~budget:b p);
+    ignore (SQ.feasible ~budget:b p);
     Simplex.consumed b
   in
   Alcotest.(check bool) "fixture pivots at least once" true (full > 0);
   for k = 0 to full - 1 do
     let b = Simplex.budget k in
-    match SQ.solve ~budget:b p with
+    match SQ.feasible ~budget:b p with
     | exception Simplex.Pivot_limit ->
         Alcotest.(check int) (Printf.sprintf "budget %d: consumed" k) k (Simplex.consumed b)
     | _ -> Alcotest.failf "budget %d: solve finished under %d pivots" k full
@@ -365,12 +354,14 @@ let test_pivot_limit () =
 (* ---- the Hs_check vertex invariant blames corruption ------------------ *)
 
 let test_lp_vertex_blames () =
-  let p = List.nth fixtures 0 |> fun (_, _, p) -> p in
+  (* The textbook maximum as a cut: its only point is the vertex (2, 6). *)
+  let p = List.nth fixtures 0 |> fun (_, _, p) -> cut ~maximize:true p (q 36) in
   let s =
-    match SQ.solve ~maximize:true p with
-    | SQ.Optimal s -> s
-    | _ -> Alcotest.fail "expected optimal"
+    match SQ.feasible p with
+    | SQ.Feasible s -> s
+    | SQ.Infeasible_certificate _ -> Alcotest.fail "expected feasible"
   in
+  let objective = Q.zero in
   let failed ~x ~basic ~objective =
     List.filter_map
       (fun (it : Hs_check.Verdict.item) ->
@@ -379,7 +370,7 @@ let test_lp_vertex_blames () =
   in
   Alcotest.(check (list string))
     "honest solution passes" []
-    (failed ~x:s.x ~basic:s.basic ~objective:s.objective);
+    (failed ~x:s.x ~basic:s.basic ~objective);
   (* A nonbasic variable pushed off its bound. *)
   let basic' = Array.copy s.basic in
   let v =
@@ -392,21 +383,21 @@ let test_lp_vertex_blames () =
   basic'.(v) <- false;
   Alcotest.(check bool) "unflagged basic variable blamed" true
     (List.mem "lp.vertex.nonbasic-at-bound"
-       (failed ~x:s.x ~basic:basic' ~objective:s.objective));
+       (failed ~x:s.x ~basic:basic' ~objective));
   (* A lying objective. *)
   Alcotest.(check bool) "wrong objective blamed" true
     (List.mem "lp.vertex.objective"
-       (failed ~x:s.x ~basic:s.basic ~objective:(Q.add s.objective Q.one)));
+       (failed ~x:s.x ~basic:s.basic ~objective:(Q.add objective Q.one)));
   (* An infeasible point. *)
   let x' = Array.copy s.x in
   x'.(0) <- q 1000;
   Alcotest.(check bool) "violated constraint blamed" true
     (List.mem "lp.vertex.feasible"
-       (failed ~x:x' ~basic:s.basic ~objective:s.objective));
+       (failed ~x:x' ~basic:s.basic ~objective));
   (* Shape mismatch. *)
   Alcotest.(check bool) "truncated arrays blamed" true
     (List.mem "lp.vertex.shape"
-       (failed ~x:[| q 0 |] ~basic:s.basic ~objective:s.objective));
+       (failed ~x:[| q 0 |] ~basic:s.basic ~objective));
   (* Everything basic: support bound must trip (3 rows, both vars basic
      plus padding flags keeps support <= rows here, so widen instead:
      claim every variable basic on a 1-row problem). *)
@@ -427,9 +418,9 @@ let suite =
     [
       u "fixtures agree with the dense oracle" test_fixture_differential;
       u "210 seeded LPs agree with the dense oracle" test_seeded_differential;
-      u "warm solve = cold objective" test_warm_same_objective;
-      u "corrupted bases repaired, never trusted" test_corrupt_basis_repaired;
-      u "foreign basis on infeasible systems stays None" test_foreign_basis_infeasible;
+      u "presolve on feasible systems = cold verdicts" test_presolve_feasible;
+      u "presolve on infeasible systems keeps the Farkas ray" test_presolve_infeasible;
+      u "presolve rejects float-deceiving guesses" test_presolve_rejects_float_deceit;
       u "presolved binary search = cold T* (shrinking)" test_presolve_search_same_horizon;
       u "degenerate pins under Dantzig and Bland" test_degenerate_pins;
       u "Pivot_limit at every short allowance" test_pivot_limit;
