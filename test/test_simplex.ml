@@ -274,6 +274,69 @@ let prop_verdicts_certified =
       | SQ.Feasible s -> satisfies p s.x
       | SQ.Infeasible_certificate y -> SQ.check_farkas p y)
 
+(* An optimum's certificate in feasibility terms.  On min c·x, the ray of
+   the rows plus the last-row cut c·x ≤ z* − 1/1000 prices that cut at
+   some −λ < 0 (the rows alone are feasible), and its other entries over
+   λ are LP duals: their objective lies in (z* − 1/1000, z*]. *)
+let dual_objective (p : Q.t Lp_problem.t) y =
+  let last = Array.length y - 1 in
+  let lambda = Q.neg y.(last) in
+  if Q.sign lambda <= 0 then None
+  else
+    let yb =
+      List.filteri (fun i _ -> i < last) p.constrs
+      |> List.mapi (fun i (ct : Q.t Lp_problem.constr) -> Q.mul y.(i) ct.rhs)
+      |> List.fold_left Q.add Q.zero
+    in
+    Some (Q.div yb lambda)
+
+let past_optimum ~nvars obj rows z =
+  Lp_problem.make ~nvars (rows @ [ c obj Le (Q.sub z (qq 1 1000)) ])
+
+let certifies_optimum ~nvars obj rows z =
+  let past = past_optimum ~nvars obj rows z in
+  match SQ.feasible past with
+  | SQ.Feasible _ -> false
+  | SQ.Infeasible_certificate y -> (
+      SQ.check_farkas past y
+      &&
+      match dual_objective past y with
+      | Some d -> Q.gt d (Q.sub z (qq 1 1000)) && Q.leq d z
+      | None -> false)
+
+let test_optimality_certificate () =
+  (* min 2x+3y st x+y>=4, x>=1: optimum 8 at (4,0); the ray past 8 must
+     carry duals that certify it. *)
+  let obj = [ (0, q 2); (1, q 3) ] in
+  let rows = [ c [ (0, q 1); (1, q 1) ] Ge (q 4); c [ (0, q 1) ] Ge (q 1) ] in
+  ignore (at_optimum ~nvars:2 obj rows (q 8));
+  Alcotest.(check bool) "duals certify" true (certifies_optimum ~nvars:2 obj rows (q 8));
+  let past = past_optimum ~nvars:2 obj rows (q 8) in
+  match SQ.feasible past with
+  | SQ.Feasible _ -> Alcotest.fail "expected infeasible past the optimum"
+  | SQ.Infeasible_certificate y ->
+      (* dropping the cut's multiplier keeps every row sense but must
+         break verification: the rows alone are feasible *)
+      let bad = Array.mapi (fun i v -> if i = Array.length y - 1 then Q.zero else v) y in
+      Alcotest.(check bool) "tampered ray rejected" false (SQ.check_farkas past bad)
+
+let prop_certified_optimum =
+  QCheck.Test.make ~name:"optimality certificates verify" ~count:150 random_lp
+    (fun ((nvars, _, _, _) as lp) ->
+      (* minimise a non-negative cost over the (nonempty) region, with
+         its optimum from the dense tableau oracle *)
+      let obj = List.init nvars (fun i -> (i, q (1 + (i mod 3)))) in
+      let rows = constructed q lp in
+      match Dense_oracle.solve ~maximize:false (Lp_problem.make ~nvars ~objective:obj rows) with
+      | Dense_oracle.Optimal o -> (
+          certifies_optimum ~nvars obj rows o.objective
+          &&
+          match SQ.feasible (Lp_problem.make ~nvars (rows @ [ c obj Le o.objective ])) with
+          | SQ.Feasible s -> Q.equal (dot obj s.x) o.objective
+          | SQ.Infeasible_certificate _ -> false)
+      | Dense_oracle.Infeasible -> false (* feasible by construction *)
+      | Dense_oracle.Unbounded -> false (* cost bounded below by 0 *))
+
 (* The boxed all-ones LPs below, with their exact optimum from the dense
    tableau oracle when it has one. *)
 let boxed ~bound ((nvars, _, _, _) as lp) =
@@ -361,6 +424,8 @@ let suite =
       u "Farkas on feasible" test_farkas_on_feasible;
       qt prop_infeasible_always_certified;
       qt prop_verdicts_certified;
+      u "optimality certificate" test_optimality_certificate;
+      qt prop_certified_optimum;
       qt prop_pricing_rules_agree;
       qt prop_float_matches_exact_verdicts;
       qt prop_feasible_by_construction;
